@@ -1,11 +1,12 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus micro-benchmarks of the hot simulator paths.
+// Benchmark harness: one testing.B sub-benchmark per table, figure and
+// sweep of the paper's evaluation, plus micro-benchmarks of the hot
+// simulator paths.
 //
 //	go test -bench=. -benchmem
 //
-// Each figure benchmark regenerates the corresponding rows/series through
-// internal/experiments and reports a headline figure metric via
-// b.ReportMetric, so `go test -bench=Figure12` is the programmatic
+// Each figure sub-benchmark regenerates the corresponding rows/series
+// through internal/experiments and reports a headline figure metric via
+// b.ReportMetric, so `go test -bench=Figures/Figure12` is the programmatic
 // equivalent of re-plotting the paper's Figure 12.
 package deact_test
 
@@ -19,8 +20,6 @@ import (
 	"deact/internal/cache"
 	"deact/internal/core"
 	"deact/internal/experiments"
-	"deact/internal/memdev"
-	"deact/internal/sim"
 	"deact/internal/stats"
 	"deact/internal/tlb"
 	"deact/internal/workload"
@@ -77,169 +76,50 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.TableIII(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
+// BenchmarkFigures regenerates each per-benchmark figure and every
+// registered sweep, one sub-benchmark each.
+func BenchmarkFigures(b *testing.B) {
+	figures := []struct {
+		name string
+		gen  func(*experiments.Runner, context.Context) (stats.Table, error)
+	}{
+		{"TableIII", (*experiments.Runner).TableIII},
+		{"Figure3", (*experiments.Runner).Figure3},
+		{"Figure4", (*experiments.Runner).Figure4},
+		{"Figure9", (*experiments.Runner).Figure9},
+		{"Figure10", (*experiments.Runner).Figure10},
+		{"Figure11", (*experiments.Runner).Figure11},
+		{"Figure12", (*experiments.Runner).Figure12},
 	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure3(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
+	for _, f := range figures {
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := f.gen(experiments.New(benchOptions()), context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				reportSeries(b, t)
+			}
+		})
 	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure4(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure9(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure10(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure11(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure12(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure13(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkAssociativitySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.AssociativitySweep(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure14(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkPairsPerWaySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.PairsPerWaySweep(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure15(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := sweepOptions()
-		if !testing.Short() {
-			o.Warmup, o.Measure = 15_000, 15_000
-		}
-		h := experiments.New(o)
-		t, err := h.Figure16(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
+	for _, name := range experiments.SweepNames() {
+		b.Run("sweep="+name, func(b *testing.B) {
+			o := sweepOptions()
+			if name == "nodes" && !testing.Short() {
+				o.Warmup, o.Measure = 15_000, 15_000 // eight-node points are the costliest
+			}
+			for i := 0; i < b.N; i++ {
+				t, err := experiments.New(o).RunSweep(context.Background(), name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reportSeries(b, t)
+			}
+		})
 	}
 }
 
 // ——— micro-benchmarks of the hot simulator paths ———
-
-func BenchmarkSimEngine(b *testing.B) {
-	e := sim.NewEngine()
-	var fn func(now sim.Time)
-	count := 0
-	fn = func(now sim.Time) {
-		count++
-		if count < b.N {
-			e.After(1, fn)
-		}
-	}
-	b.ResetTimer()
-	e.Schedule(0, fn)
-	e.Run(0)
-}
 
 // BenchmarkCacheHierarchyAccess streams through the full three-level
 // hierarchy; the per-level hit/miss/eviction mixes live in
@@ -302,15 +182,6 @@ func BenchmarkACMCheck(b *testing.B) {
 	}
 }
 
-func BenchmarkMemDevAccess(b *testing.B) {
-	d := memdev.New(memdev.Config{Name: "bench", Banks: 32,
-		ReadLatency: sim.NS(60), WriteLatency: sim.NS(150), PortLatency: sim.NS(2)})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Access(sim.Time(i)*100, uint64(i)*64, i%4 == 0)
-	}
-}
-
 // BenchmarkEndToEnd measures whole-system simulation throughput
 // (instructions simulated per wall second) for each scheme.
 func BenchmarkEndToEnd(b *testing.B) {
@@ -320,6 +191,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 	for _, scheme := range core.Schemes() {
 		b.Run(scheme.String(), func(b *testing.B) {
+			var instr uint64
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
 				cfg.Scheme = scheme
@@ -331,8 +203,9 @@ func BenchmarkEndToEnd(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(r.IPC, "sim_ipc")
+				instr += r.Instructions
 			}
+			b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")
 		})
 	}
 }

@@ -14,9 +14,7 @@
 //
 // -budget is the regression budget in percent; a PR that knowingly trades
 // time for a feature raises it explicitly in its CI invocation (and says so
-// in the PR), rather than editing the gate's default. -max-time-regress is
-// the deprecated spelling of the same knob, kept for existing invocations;
-// when both are set, -budget wins.
+// in the PR), rather than editing the gate's default.
 //
 // Only benchmarks matching -gate AND present in both files are enforced;
 // benchmarks that exist on one side only (added or removed by the PR) are
@@ -45,21 +43,12 @@ func run(args []string, out io.Writer) int {
 	var (
 		gate    = fs.String("gate", `^(BenchmarkEngine|BenchmarkCoreRun)\b`, "regexp selecting enforced benchmarks")
 		budget  = fs.Float64("budget", 20, "time/op regression budget in percent")
-		oldPct  = fs.Float64("max-time-regress", 20, "deprecated alias for -budget (ignored when -budget is set)")
 		minRuns = fs.Int("min-samples", 1, "minimum samples per side for a benchmark to be enforced")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fmt.Fprintln(out, "usage: benchgate [-gate regexp] [-budget pct] base.txt head.txt")
 		return 2
-	}
-	// Resolve the budget: -budget when set, else the deprecated alias, else
-	// the shared default.
-	maxPct := budget
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if !set["budget"] && set["max-time-regress"] {
-		maxPct = oldPct
 	}
 	re, err := regexp.Compile(*gate)
 	if err != nil {
@@ -118,12 +107,12 @@ func run(args []string, out io.Writer) int {
 		bt, ht := benchparse.Median(b.TimeNS), benchparse.Median(h.TimeNS)
 		delta := 100 * (ht - bt) / bt
 		status := "ok  "
-		if delta > *maxPct {
+		if delta > *budget {
 			status = "FAIL"
 			failed = true
 		}
 		fmt.Fprintf(out, "%s %-40s time/op %12.1f → %12.1f ns  (%+.1f%%, limit +%.0f%%)\n",
-			status, name, bt, ht, delta, *maxPct)
+			status, name, bt, ht, delta, *budget)
 
 		if len(b.AllocsPerOp) > 0 && len(h.AllocsPerOp) > 0 {
 			ba, ha := benchparse.MedianInt(b.AllocsPerOp), benchparse.MedianInt(h.AllocsPerOp)

@@ -128,7 +128,7 @@ BenchmarkEngine/handler-8   1000000   11.5 ns/op   0 B/op   0 allocs/op
 BenchmarkCoreRun/I-FAM-8        100   10100000 ns/op   5000000 B/op   700 allocs/op
 `)
 	// 15% regression fails a 10% budget.
-	code, _ := gateOut(t, []string{"-max-time-regress", "10", base, head})
+	code, _ := gateOut(t, []string{"-budget", "10", base, head})
 	if code != 1 {
 		t.Fatalf("custom threshold not applied (code %d)", code)
 	}
@@ -147,12 +147,5 @@ BenchmarkCoreRun/I-FAM-8        100   11600000 ns/op   5000000 B/op   700 allocs
 	}
 	if code, out := gateOut(t, []string{"-budget", "30", base, head}); code != 0 {
 		t.Fatalf("-budget 30 failed a 15%% regression (code %d):\n%s", code, out)
-	}
-	// When both spellings are set, -budget wins over the deprecated alias.
-	if code, out := gateOut(t, []string{"-budget", "30", "-max-time-regress", "10", base, head}); code != 0 {
-		t.Fatalf("-budget did not take precedence over -max-time-regress (code %d):\n%s", code, out)
-	}
-	if code, out := gateOut(t, []string{"-max-time-regress", "30", "-budget", "10", base, head}); code != 1 {
-		t.Fatalf("deprecated alias overrode -budget (code %d):\n%s", code, out)
 	}
 }

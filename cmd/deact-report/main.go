@@ -39,7 +39,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "deact-report:", err)
 		os.Exit(1)
 	}
@@ -48,17 +48,18 @@ func main() {
 // run carries the whole report generation so defers (profile flush, signal
 // teardown) execute on error paths too, instead of being skipped by
 // os.Exit.
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("deact-report", flag.ExitOnError)
 	var (
-		out    = flag.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
-		capSec = flag.Bool("capacity", false, "append the multi-tenant capacity-planning section (per-tenant p99 latency under a noisy neighbor); strictly additive to the base report")
-		pfSec  = flag.Bool("prefetch", false, "append the prefetch-interaction section (IPC vs stream-prefetch degree across workload shapes); strictly additive to the base report")
-		mlpSec = flag.Bool("mlp", false, "append the memory-level-parallelism section (IPC vs OoO scheduling-window size in ops, across workload dependence shapes); strictly additive to the base report")
+		out    = fs.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
+		capSec = fs.Bool("capacity", false, "append the multi-tenant capacity-planning section (per-tenant p99 latency under a noisy neighbor); strictly additive to the base report")
+		pfSec  = fs.Bool("prefetch", false, "append the prefetch-interaction section (IPC vs stream-prefetch degree across workload shapes); strictly additive to the base report")
+		mlpSec = fs.Bool("mlp", false, "append the memory-level-parallelism section (IPC vs OoO scheduling-window size in ops, across workload dependence shapes); strictly additive to the base report")
 	)
-	scale := cli.ScaleFlags(flag.CommandLine, 80_000, 60_000, 2)
-	runner := cli.RunnerFlags(flag.CommandLine)
-	prof := cli.ProfilingFlags(flag.CommandLine, "the full report run")
-	flag.Parse()
+	scale := cli.ScaleFlags(fs, 80_000, 60_000, 2)
+	runner := cli.RunnerFlags(fs)
+	prof := cli.ProfilingFlags(fs, "the full report run")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	stopCPU, err := prof.Start("deact-report")
 	if err != nil {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deact/internal/experiments"
@@ -45,5 +47,48 @@ func TestGenerateWritesOnSuccess(t *testing.T) {
 	}
 	if len(data) == 0 {
 		t.Fatal("empty report written")
+	}
+}
+
+// goldenScale is the short scale both committed report goldens are
+// generated at (the CI golden-report job uses the same flags).
+var goldenScale = []string{"-warmup", "4000", "-measure", "4000", "-cores", "1",
+	"-benchmarks", "mcf,canl,sp,dc", "-parallelism", "2"}
+
+// TestReportGoldens regenerates the short-scale reports through the
+// command's own flag parsing and byte-compares them with the committed
+// goldens: the base report with the capacity section, and the same report
+// with every opt-in section (capacity, prefetch, MLP) appended.
+func TestReportGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates at the golden scale")
+	}
+	for _, tc := range []struct {
+		golden   string
+		sections []string
+	}{
+		{"golden-report-short.md", []string{"-capacity"}},
+		{"golden-report-short-extras.md", []string{"-capacity", "-prefetch", "-mlp"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "report.md")
+			args := append(append(append([]string{}, goldenScale...), tc.sections...), "-out", out)
+			if err := run(context.Background(), args); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report differs from testdata/%s; if the change is intended, regenerate it with:\n"+
+					"  go run ./cmd/deact-report -out testdata/%s %s",
+					tc.golden, tc.golden, strings.Join(args[:len(args)-2], " "))
+			}
+		})
 	}
 }

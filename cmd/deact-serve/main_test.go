@@ -288,6 +288,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"unknown field", `{"Benchmrak":"mcf"}`},
 		{"bad scheme", `{"Scheme":"fam-e"}`},
 		{"invalid config", `{"Tenants":9999}`},
+		{"zero fabric latency", `{"FabricLatency":0}`},
+		{"zero FAM banks", `{"FAMCfg":{"Banks":0}}`},
 		{"trailing garbage", `{"Seed":1} {"Seed":2}`},
 		{"not json", `seed=1`},
 	} {

@@ -1,5 +1,8 @@
-// Command deact-sweep runs one of the paper's sensitivity sweeps (§V-D)
-// and prints the resulting series as a text table.
+// Command deact-sweep runs one sweep of the experiments registry — the
+// paper's sensitivity sweeps (§V-D) and three beyond the paper — and
+// prints the resulting series as a text table. The names below are the
+// registry's (experiments.SweepNames), and the package tests keep this
+// list equal to it.
 //
 // Usage:
 //
@@ -16,10 +19,11 @@
 //	deact-sweep -sweep stu -store .deact-store   # serve repeat points from the persistent result store
 //
 // The capacity sweep takes three extra knobs: -steady and -noisy name the
-// benchmarks the steady tenants and the noisy tenant 0 run, and
-// -broker-shards fixes how many shards the FAM broker's ownership state is
-// split into (0 derives one shard per two nodes). Its grid
-// (nodes × tenants) is fixed like the figure sweeps' points are.
+// benchmarks the steady tenants and the noisy tenant 0 run (the prefetch
+// sweep's two skew rows run them too), and -broker-shards fixes how many
+// shards the FAM broker's ownership state is split into (0 derives one
+// shard per two nodes). Its grid (nodes × tenants) is fixed like the
+// figure sweeps' points are.
 //
 // Every (scheme, benchmark, point) simulation of a sweep is independent;
 // they run concurrently on a worker pool of -parallelism slots (default:
@@ -38,49 +42,66 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
 	"deact/internal/cli"
 	"deact/internal/experiments"
-	"deact/internal/stats"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx); err != nil {
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "deact-sweep:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
 }
 
+// usageError is a command-line mistake. Usage errors exit 2 (before any
+// profile is started), runtime failures exit 1 — the same convention
+// cmd/benchgate follows.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// exitCode maps run's error to the process exit status.
+func exitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
+}
+
 // run carries the whole sweep so defers (profile flush) execute on error
-// paths too, instead of being skipped by os.Exit.
-func run(ctx context.Context) error {
+// paths too, instead of being skipped by os.Exit. The table goes to stdout,
+// progress to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("deact-sweep", flag.ExitOnError)
 	var (
-		sweep  = flag.String("sweep", "stu", "sweep to run: stu, assoc, acm, pairs, fabric, nodes, capacity, prefetch, mlp")
-		steady = flag.String("steady", "sp", "capacity sweep: benchmark the steady tenants run")
-		noisy  = flag.String("noisy", "canl", "capacity sweep: benchmark the noisy tenant 0 runs on every node")
-		shards = flag.Int("broker-shards", 0, "capacity sweep: FAM broker shards per point, clamped to the node count (0 = one shard per two nodes)")
+		sweep  = fs.String("sweep", "stu", "sweep to run: "+strings.Join(experiments.SweepNames(), ", "))
+		steady = fs.String("steady", "sp", "capacity sweep: benchmark the steady tenants run")
+		noisy  = fs.String("noisy", "canl", "capacity sweep: benchmark the noisy tenant 0 runs on every node")
+		shards = fs.Int("broker-shards", 0, "capacity sweep: FAM broker shards per point, clamped to the node count (0 = one shard per two nodes)")
 	)
 	// Warmup/measure default below deact-report's 80k/60k deliberately: a
 	// sweep multiplies every point across schemes and benchmark groups.
-	scale := cli.ScaleFlags(flag.CommandLine, 60_000, 50_000, 2)
-	runnerFlags := cli.RunnerFlags(flag.CommandLine)
-	prof := cli.ProfilingFlags(flag.CommandLine, "the full sweep")
-	flag.Parse()
+	scale := cli.ScaleFlags(fs, 60_000, 50_000, 2)
+	runnerFlags := cli.RunnerFlags(fs)
+	prof := cli.ProfilingFlags(fs, "the full sweep")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
-	// Usage errors exit 2 (before any profile is started), runtime
-	// failures exit 1 — the same convention cmd/benchgate follows.
-	switch *sweep {
-	case "stu", "assoc", "acm", "pairs", "fabric", "nodes", "capacity", "prefetch", "mlp":
-	default:
-		fmt.Fprintf(os.Stderr, "deact-sweep: unknown sweep %q\n", *sweep)
-		os.Exit(2)
+	if !slices.Contains(experiments.SweepNames(), *sweep) {
+		return usageError(fmt.Sprintf("unknown sweep %q", *sweep))
 	}
 
 	stopCPU, err := prof.Start("deact-sweep")
@@ -94,37 +115,17 @@ func run(ctx context.Context) error {
 		return err
 	}
 	opts.SteadyBenchmark, opts.NoisyBenchmark, opts.BrokerShards = *steady, *noisy, *shards
-	opts.OnRunDone = cli.ProgressPrinter(os.Stderr)
+	opts.OnRunDone = cli.ProgressPrinter(stderr)
 	r := experiments.New(opts)
 	defer r.WaitIdle()
 
-	var tbl stats.Table
-	switch *sweep {
-	case "stu":
-		tbl, err = r.Figure13(ctx)
-	case "assoc":
-		tbl, err = r.AssociativitySweep(ctx)
-	case "acm":
-		tbl, err = r.Figure14(ctx)
-	case "pairs":
-		tbl, err = r.PairsPerWaySweep(ctx)
-	case "fabric":
-		tbl, err = r.Figure15(ctx)
-	case "nodes":
-		tbl, err = r.Figure16(ctx)
-	case "capacity":
-		tbl, err = r.CapacitySweep(ctx)
-	case "prefetch":
-		tbl, err = r.PrefetchSweep(ctx)
-	case "mlp":
-		tbl, err = r.MLPSweep(ctx)
-	}
-	fmt.Fprintln(os.Stderr) // terminate the progress line
+	tbl, err := r.RunSweep(ctx, *sweep)
+	fmt.Fprintln(stderr) // terminate the progress line
 	if err != nil {
 		return err
 	}
-	fmt.Print(tbl.Render())
-	fmt.Printf("(%d simulation runs)\n", r.CachedRuns())
+	fmt.Fprint(stdout, tbl.Render())
+	fmt.Fprintf(stdout, "(%d simulation runs)\n", r.CachedRuns())
 
 	return prof.WriteHeap()
 }

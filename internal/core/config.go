@@ -11,6 +11,7 @@ import (
 
 	"deact/internal/addr"
 	"deact/internal/cache"
+	"deact/internal/fabric"
 	"deact/internal/memdev"
 	"deact/internal/node"
 	"deact/internal/sim"
@@ -314,10 +315,19 @@ func (c Config) Validate() error {
 	case c.TraceID != "" && c.Pattern != "":
 		return fmt.Errorf("%w: TraceID and Pattern are mutually exclusive (a replay does not synthesize)", ErrInvalidConfig)
 	}
-	if err := c.Layout.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	// The device and fabric constructors panic on configs their own
+	// validators reject, so those validators are part of this gate.
+	for _, err := range []error{c.Layout.Validate(), c.fabricConfig().Validate(), c.DRAMCfg.Validate(), c.FAMCfg.Validate()} {
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		}
 	}
 	return nil
+}
+
+// fabricConfig derives the interconnect configuration.
+func (c Config) fabricConfig() fabric.Config {
+	return fabric.Config{Latency: c.FabricLatency, PacketTime: c.FabricPacketTime}
 }
 
 // tenantFor returns the tenant of core ci on node ni (both 0-based):

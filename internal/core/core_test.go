@@ -55,6 +55,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.STUEntries = 0 },
 		func(c *Config) { c.Benchmark = "nope" },
 		func(c *Config) { c.Layout.ACMBits = 9 },
+		func(c *Config) { c.FabricLatency = 0 },
+		func(c *Config) { c.FAMCfg.Banks = 0 },
+		func(c *Config) { c.DRAMCfg.Banks = 0 },
 	}
 	for i, m := range mutations {
 		cfg := DefaultConfig()

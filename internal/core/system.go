@@ -171,7 +171,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.fab = fabric.New(fabric.Config{Latency: cfg.FabricLatency, PacketTime: cfg.FabricPacketTime})
+	s.fab = fabric.New(cfg.fabricConfig())
 	s.fam = memdev.New(cfg.FAMCfg)
 
 	total := cfg.WarmupInstructions + cfg.MeasureInstructions

@@ -171,92 +171,3 @@ func checkFig12Ordering(ctx context.Context, r *Runner) (bool, string, error) {
 	ok := e >= n && n >= w && w > i
 	return ok, fmt.Sprintf("sensitive-set mean IPC: E %.4f ≥ N %.4f ≥ W %.4f > I %.4f", e, n, w, i), nil
 }
-
-// checkFig13Shrinks: DeACT speedup at 256 STU entries > at 4096.
-func checkFig13Shrinks(ctx context.Context, r *Runner) (bool, string, error) {
-	return r.checkSweepMonotone(ctx, "stu=256", func(c *core.Config) { c.STUEntries = 256 },
-		"stu=4096", func(c *core.Config) { c.STUEntries = 4096 }, true)
-}
-
-// checkFig15Grows: speedup at 6µs fabric > at 100ns.
-func checkFig15Grows(ctx context.Context, r *Runner) (bool, string, error) {
-	return r.checkSweepMonotone(ctx, "fab=6us", func(c *core.Config) { c.FabricLatency = 6_000_000 },
-		"fab=100ns", func(c *core.Config) { c.FabricLatency = 100_000 }, true)
-}
-
-// checkSweepMonotone compares geomean DeACT-N speedup over I-FAM at two
-// sweep points across all sensitivity groups. The labels only name the
-// points in the detail string; run identity comes from the mutated configs.
-func (r *Runner) checkSweepMonotone(ctx context.Context, labelHi string, mutHi func(*core.Config), labelLo string, mutLo func(*core.Config), wantHiBigger bool) (bool, string, error) {
-	var his, los []float64
-	for _, g := range r.sensitivityGroups() {
-		if len(g.members) == 0 {
-			continue
-		}
-		hi, err := r.speedupOverIFAM(ctx, g, core.DeACTN, mutHi)
-		if err != nil {
-			return false, "", err
-		}
-		lo, err := r.speedupOverIFAM(ctx, g, core.DeACTN, mutLo)
-		if err != nil {
-			return false, "", err
-		}
-		his = append(his, hi)
-		los = append(los, lo)
-	}
-	hi, lo := stats.Geomean(his), stats.Geomean(los)
-	ok := hi > lo
-	if !wantHiBigger {
-		ok = lo > hi
-	}
-	return ok, fmt.Sprintf("%s: %.2f× vs %s: %.2f×", labelHi, hi, labelLo, lo), nil
-}
-
-// checkPairsMonotone: 3 pairs ≥ 2 pairs ≥ 1 pair.
-func checkPairsMonotone(ctx context.Context, r *Runner) (bool, string, error) {
-	var v [3]float64
-	for pi, p := range []int{1, 2, 3} {
-		p := p
-		var xs []float64
-		for _, g := range r.sensitivityGroups() {
-			if len(g.members) == 0 {
-				continue
-			}
-			x, err := r.speedupOverIFAM(ctx, g, core.DeACTN, func(c *core.Config) {
-				c.PairsPerWay = p
-				c.Layout.ACMBits = 8
-			})
-			if err != nil {
-				return false, "", err
-			}
-			xs = append(xs, x)
-		}
-		v[pi] = stats.Geomean(xs)
-	}
-	return v[2] >= v[1] && v[1] >= v[0], fmt.Sprintf("1/2/3 pairs: %.2f/%.2f/%.2f×", v[0], v[1], v[2]), nil
-}
-
-// checkFig16Grows: speedup at 8 nodes > at 1 node for dc.
-func checkFig16Grows(ctx context.Context, r *Runner) (bool, string, error) {
-	speed := func(nodes int) (float64, error) {
-		mutate := func(c *core.Config) { c.Nodes = nodes }
-		rN, err := r.Run(ctx, r.config(core.DeACTN, "dc", mutate))
-		if err != nil {
-			return 0, err
-		}
-		rI, err := r.Run(ctx, r.config(core.IFAM, "dc", mutate))
-		if err != nil {
-			return 0, err
-		}
-		return rN.Speedup(rI), nil
-	}
-	one, err := speed(1)
-	if err != nil {
-		return false, "", err
-	}
-	eight, err := speed(8)
-	if err != nil {
-		return false, "", err
-	}
-	return eight > one, fmt.Sprintf("dc: 1 node %.2f× vs 8 nodes %.2f×", one, eight), nil
-}

@@ -137,7 +137,7 @@ func TestFigure16TwoSeries(t *testing.T) {
 	o := tinyOptions()
 	o.Warmup, o.Measure = 15_000, 15_000
 	r := New(o)
-	tbl, err := r.Figure16(context.Background())
+	tbl, err := r.RunSweep(context.Background(), "nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,5 +175,27 @@ func TestAllListsEveryExperiment(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("experiment %q missing from All()", want)
 		}
+	}
+}
+
+// TestFig16CheckWithoutDC: the node-count check reads the sweep's own
+// table, so without dc in the benchmark set the dc row is skipped and the
+// check fails on its absence instead of simulating dc on the side.
+func TestFig16CheckWithoutDC(t *testing.T) {
+	r := New(Options{Warmup: 2_000, Measure: 2_000, Cores: 1, Seed: 42,
+		Benchmarks: []string{"canl", "pf"}, Parallelism: 2})
+	tbl, verdicts, err := r.sweepSection(context.Background(), "nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Series) != 1 || tbl.Series[0].Name != "pf" {
+		t.Fatalf("series = %+v, want the pf row only", tbl.Series)
+	}
+	if len(verdicts) != 1 || verdicts[0].ok || !strings.Contains(verdicts[0].detail, "no dc row") {
+		t.Fatalf("verdicts = %+v, want one FAIL naming the missing dc row", verdicts)
+	}
+	// 4 node counts × (DeACT-N, I-FAM) for pf; nothing for dc.
+	if n := r.CachedRuns(); n != 8 {
+		t.Fatalf("%d runs, want 8", n)
 	}
 }

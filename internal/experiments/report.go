@@ -16,12 +16,92 @@ type expectation struct {
 	check func(ctx context.Context, r *Runner) (bool, string, error)
 }
 
-// namedTable pairs an experiment id with its generator.
+// namedTable pairs an experiment id with its generator: gen and its
+// expectations, or a registered sweep, whose table and check come from the
+// sweep.
 type namedTable struct {
 	id       string
 	paperRef string
 	gen      func(r *Runner, ctx context.Context) (stats.Table, error)
+	sweep    string
 	expect   []expectation
+}
+
+// verdict is one evaluated claim, rendered as a report bullet.
+type verdict struct {
+	ok                bool
+	id, claim, detail string
+}
+
+func (v verdict) String() string {
+	mark := "PASS"
+	if !v.ok {
+		mark = "FAIL"
+	}
+	return fmt.Sprintf("- **%s** — %s: %s (%s)\n", mark, v.id, v.claim, v.detail)
+}
+
+// run generates the experiment's table and evaluates its claims.
+func (nt namedTable) run(ctx context.Context, r *Runner) (stats.Table, []verdict, error) {
+	if nt.sweep != "" {
+		return r.sweepSection(ctx, nt.sweep)
+	}
+	tbl, err := nt.gen(r, ctx)
+	if err != nil {
+		return tbl, nil, err
+	}
+	var vs []verdict
+	for _, ex := range nt.expect {
+		ok, detail, err := ex.check(ctx, r)
+		if err != nil {
+			return tbl, nil, fmt.Errorf("%s check: %w", ex.id, err)
+		}
+		vs = append(vs, verdict{ok, ex.id, ex.claim, detail})
+	}
+	return tbl, vs, nil
+}
+
+// sweepSection runs a registered sweep and evaluates its check, if any.
+func (r *Runner) sweepSection(ctx context.Context, name string) (stats.Table, []verdict, error) {
+	s, err := r.opts.sweep(name)
+	if err != nil {
+		return stats.Table{}, nil, err
+	}
+	res, err := r.runSweep(ctx, s)
+	if err != nil || s.check == nil {
+		return res.table, nil, err
+	}
+	ok, detail := s.check.verdict(res)
+	return res.table, []verdict{{ok, s.check.id, s.check.claim, detail}}, nil
+}
+
+// extraSection is one opt-in section beyond the paper: a registered sweep
+// with its heading, an introduction and the label of its closing
+// additional-simulations line.
+type extraSection struct {
+	on                          bool
+	sweep, heading, intro, runs string
+}
+
+// extraSections lists the opt-in sections in print order.
+func extraSections(o Options) []extraSection {
+	return []extraSection{
+		{o.Capacity, "capacity", "Capacity planning — multi-tenant tail latency (beyond the paper)",
+			"Tenant 0 on every node runs the noisy workload; the remaining tenants\n" +
+				"run the steady one. Columns are nodes/tenants; values are p99 in µs.\n",
+			"Capacity-planning"},
+		{o.Prefetch, "prefetch", "Prefetch interaction — PC-keyed stream prefetcher (beyond the paper)",
+			"Rows are scheme × workload shape (skew benchmarks and the v2 pattern\n" +
+				"generators); columns sweep the prefetch degree in 64B blocks; values are\n" +
+				"IPC relative to the prefetcher-off baseline of the same row.\n",
+			"Prefetch-interaction"},
+		{o.MLP, "mlp", "Memory-level parallelism — OoO scheduling window (beyond the paper)",
+			"Rows are scheme × workload dependence shape (v2 pattern generators);\n" +
+				"columns sweep the OoO scheduling window in ops (with MaxOutstanding\n" +
+				"coupled to it); values are IPC relative to the window=1 baseline of the\n" +
+				"same row, which is bit-identical to the in-order core.\n",
+			"MLP"},
+	}
 }
 
 // All returns every reproducible experiment in paper order.
@@ -77,42 +157,12 @@ func All() []namedTable {
 				check: checkFig12Ordering,
 			}},
 		},
-		{id: "Figure 13", paperRef: "STU size sweep",
-			gen: (*Runner).Figure13,
-			expect: []expectation{{
-				id:    "fig13-shrinking-gain",
-				claim: "DeACT's speedup over I-FAM shrinks as the STU cache grows",
-				check: checkFig13Shrinks,
-			}},
-		},
-		{id: "§V-D1 associativity", paperRef: "STU associativity sweep",
-			gen: (*Runner).AssociativitySweep},
-		{id: "Figure 14", paperRef: "ACM width sweep",
-			gen: (*Runner).Figure14},
-		{id: "§V-D2 pairs/way", paperRef: "DeACT-N packing sweep",
-			gen: (*Runner).PairsPerWaySweep,
-			expect: []expectation{{
-				id:    "fig14-pairs-monotone",
-				claim: "more (tag, ACM) pairs per way → more speedup; one pair ≈ DeACT-W",
-				check: checkPairsMonotone,
-			}},
-		},
-		{id: "Figure 15", paperRef: "fabric latency sweep",
-			gen: (*Runner).Figure15,
-			expect: []expectation{{
-				id:    "fig15-growing-gain",
-				claim: "longer fabric latency → bigger DeACT speedup over I-FAM",
-				check: checkFig15Grows,
-			}},
-		},
-		{id: "Figure 16", paperRef: "node count sweep",
-			gen: (*Runner).Figure16,
-			expect: []expectation{{
-				id:    "fig16-growing-gain",
-				claim: "more nodes sharing the fabric → bigger DeACT speedup over I-FAM",
-				check: checkFig16Grows,
-			}},
-		},
+		{id: "Figure 13", paperRef: "STU size sweep", sweep: "stu"},
+		{id: "§V-D1 associativity", paperRef: "STU associativity sweep", sweep: "assoc"},
+		{id: "Figure 14", paperRef: "ACM width sweep", sweep: "acm"},
+		{id: "§V-D2 pairs/way", paperRef: "DeACT-N packing sweep", sweep: "pairs"},
+		{id: "Figure 15", paperRef: "fabric latency sweep", sweep: "fabric"},
+		{id: "Figure 16", paperRef: "node count sweep", sweep: "nodes"},
 		{id: "§III-A read trust", paperRef: "encrypted-FAM ablation",
 			gen: (*Runner).ReadTrustAblation,
 			expect: []expectation{{
@@ -147,104 +197,36 @@ func Report(ctx context.Context, w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "```\n%s```\n\n```\n%s```\n\n", TableI(), TableII())
 
 	for _, nt := range All() {
-		tbl, err := nt.gen(r, ctx)
+		tbl, verdicts, err := nt.run(ctx, r)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nt.id, err)
 		}
 		fmt.Fprintf(w, "## %s — %s\n\n```\n%s```\n\n", nt.id, nt.paperRef, tbl.Render())
-		for _, ex := range nt.expect {
-			ok, detail, err := ex.check(ctx, r)
-			if err != nil {
-				return fmt.Errorf("%s check: %w", nt.id, err)
-			}
-			verdict := "PASS"
-			if !ok {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(w, "- **%s** — %s: %s (%s)\n", verdict, ex.id, ex.claim, detail)
+		for _, v := range verdicts {
+			fmt.Fprint(w, v)
 		}
 		fmt.Fprintf(w, "\n")
 	}
 	fmt.Fprintf(w, "Total distinct simulation runs: %d.\n", r.CachedRuns())
 
-	// The capacity-planning section is opt-in and strictly additive: it is
-	// emitted after the closing runs line (whose count therefore still
-	// covers exactly the paper experiments above), so a report generated
-	// with Capacity on differs from one without only by appended lines.
-	if opts.Capacity {
+	// The opt-in sections are strictly additive: they are emitted after the
+	// closing runs line (whose count therefore still covers exactly the
+	// paper experiments above), so enabling one never changes a byte of the
+	// report above it.
+	for _, x := range extraSections(opts) {
+		if !x.on {
+			continue
+		}
 		before := r.CachedRuns()
-		tbl, err := r.CapacitySweep(ctx)
+		tbl, verdicts, err := r.sweepSection(ctx, x.sweep)
 		if err != nil {
-			return fmt.Errorf("capacity sweep: %w", err)
+			return fmt.Errorf("%s sweep: %w", x.sweep, err)
 		}
-		fmt.Fprintf(w, "\n## Capacity planning — multi-tenant tail latency (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Tenant 0 on every node runs the noisy workload; the remaining tenants\n")
-		fmt.Fprintf(w, "run the steady one. Columns are nodes/tenants; values are p99 in µs.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkCapacityDeACTShieldsSteady(ctx, r)
-		if err != nil {
-			return fmt.Errorf("capacity check: %w", err)
+		fmt.Fprintf(w, "\n## %s\n\n%s\n```\n%s```\n\n", x.heading, x.intro, tbl.Render())
+		for _, v := range verdicts {
+			fmt.Fprint(w, v)
 		}
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "- **%s** — capacity-deact-shields-steady: the noisy neighbor never inflates the steady tenants' p99 translation latency materially (>10%%) beyond I-FAM's at any deployment size (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nCapacity-planning runs: %d additional simulations.\n", r.CachedRuns()-before)
-	}
-
-	// The prefetch-interaction section follows the same strictly-additive
-	// contract: appended after everything else (including the capacity
-	// section when both are on), so enabling it never changes a byte of
-	// the report above it.
-	if opts.Prefetch {
-		before := r.CachedRuns()
-		tbl, err := r.PrefetchSweep(ctx)
-		if err != nil {
-			return fmt.Errorf("prefetch sweep: %w", err)
-		}
-		fmt.Fprintf(w, "\n## Prefetch interaction — PC-keyed stream prefetcher (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Rows are scheme × workload shape (skew benchmarks and the v2 pattern\n")
-		fmt.Fprintf(w, "generators); columns sweep the prefetch degree in 64B blocks; values are\n")
-		fmt.Fprintf(w, "IPC relative to the prefetcher-off baseline of the same row.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkPrefetchDetectsStreams(ctx, r)
-		if err != nil {
-			return fmt.Errorf("prefetch check: %w", err)
-		}
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "- **%s** — prefetch-detects-streams: the PC-keyed table confirms streams and issues prefetches on the stencil workload, and issues none with the prefetcher off (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nPrefetch-interaction runs: %d additional simulations.\n", r.CachedRuns()-before)
-	}
-
-	// The MLP section follows the same strictly-additive contract: appended
-	// after everything else (including the capacity and prefetch sections
-	// when on), so enabling it never changes a byte of the report above it.
-	if opts.MLP {
-		before := r.CachedRuns()
-		tbl, err := r.MLPSweep(ctx)
-		if err != nil {
-			return fmt.Errorf("mlp sweep: %w", err)
-		}
-		fmt.Fprintf(w, "\n## Memory-level parallelism — OoO scheduling window (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Rows are scheme × workload dependence shape (v2 pattern generators);\n")
-		fmt.Fprintf(w, "columns sweep the OoO scheduling window in ops (with MaxOutstanding\n")
-		fmt.Fprintf(w, "coupled to it); values are IPC relative to the window=1 baseline of the\n")
-		fmt.Fprintf(w, "same row, which is bit-identical to the in-order core.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkMLPSeparatesDependence(ctx, r)
-		if err != nil {
-			return fmt.Errorf("mlp check: %w", err)
-		}
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "- **%s** — mlp-separates-dependence: widening the window speeds up the independent stencil streams substantially while the degree-1 pointer chase stays pinned to its serialized chain (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nMLP runs: %d additional simulations.\n", r.CachedRuns()-before)
+		fmt.Fprintf(w, "\n%s runs: %d additional simulations.\n", x.runs, r.CachedRuns()-before)
 	}
 	return nil
 }

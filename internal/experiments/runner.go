@@ -24,7 +24,6 @@ import (
 	"deact/internal/core"
 	"deact/internal/resultstore"
 	"deact/internal/sim"
-	"deact/internal/stats"
 	"deact/internal/workload"
 )
 
@@ -63,23 +62,25 @@ type Options struct {
 	// settings — are unchanged; only wall-clock time drops when sweep
 	// points share a warmup prefix (e.g. a MeasureInstructions sweep).
 	ShareWarmup bool
-	// Capacity appends the multi-tenant capacity-planning section
-	// (CapacitySweep) to Report's output. It is additive: every line the
+	// Capacity appends the multi-tenant capacity-planning section (the
+	// registered "capacity" sweep) to Report's output. It is additive: every line the
 	// report emits without it is emitted unchanged with it.
 	Capacity bool
-	// Prefetch appends the prefetch-interaction section (PrefetchSweep)
-	// to Report's output. Additive in the same way as Capacity; emitted
+	// Prefetch appends the prefetch-interaction section (the "prefetch"
+	// sweep) to Report's output. Additive in the same way as Capacity; emitted
 	// after the capacity section when both are on.
 	Prefetch bool
-	// MLP appends the memory-level-parallelism section (MLPSweep) to
-	// Report's output. Additive in the same way as Capacity and Prefetch;
+	// MLP appends the memory-level-parallelism section (the "mlp" sweep)
+	// to Report's output. Additive in the same way as Capacity and Prefetch;
 	// emitted after the prefetch section when both are on.
 	MLP bool
 	// SteadyBenchmark is the workload the steady tenants run in the
-	// capacity sweep ("sp" if empty).
+	// capacity sweep, and the prefetch sweep's first skew row ("sp" if
+	// empty).
 	SteadyBenchmark string
 	// NoisyBenchmark is the workload the noisy tenant (tenant 0 on every
-	// node) runs in the capacity sweep ("canl" if empty).
+	// node) runs in the capacity sweep, and the prefetch sweep's second
+	// skew row ("canl" if empty).
 	NoisyBenchmark string
 	// BrokerShards fixes the FAM broker shard count at every capacity
 	// sweep point (clamped to the point's node count). 0 derives one
@@ -610,60 +611,6 @@ func (r *Runner) perBenchmarkSchemes(ctx context.Context, schemes []core.Scheme,
 		out[i] = row
 	}
 	return out, nil
-}
-
-// sensitivityGroups returns the grouping the paper uses for §V-D: geomeans
-// of the SPEC, PARSEC and GAP suites plus pf and dc individually (§V-D:
-// "dc is the only [NPB] benchmark which has significant performance impact").
-func (r *Runner) sensitivityGroups() []sensGroup {
-	suites := workload.Suites()
-	in := func(names []string) []string {
-		set := map[string]bool{}
-		for _, b := range r.opts.benchmarks() {
-			set[b] = true
-		}
-		var out []string
-		for _, n := range names {
-			if set[n] {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	return []sensGroup{
-		{"SPEC", in(suites["SPEC 2006"])},
-		{"PARSEC", in(suites["PARSEC"])},
-		{"GAP", in(suites["GAP"])},
-		{"pf", in([]string{"pf"})},
-		{"dc", in([]string{"dc"})},
-	}
-}
-
-type sensGroup struct {
-	name    string
-	members []string
-}
-
-// speedupOverIFAM computes geomean over group members of
-// IPC(scheme,mutate)/IPC(I-FAM,mutate) under the same mutation — the
-// y-axis of Figures 13–16. Both runs of every member pair are submitted
-// together.
-func (r *Runner) speedupOverIFAM(ctx context.Context, g sensGroup, scheme core.Scheme, mutate func(*core.Config)) (float64, error) {
-	var cfgs []core.Config
-	for _, b := range g.members {
-		cfgs = append(cfgs,
-			r.config(scheme, b, mutate),
-			r.config(core.IFAM, b, mutate))
-	}
-	pairs, err := r.runPaired(ctx, cfgs)
-	if err != nil {
-		return 0, err
-	}
-	var ratios []float64
-	for _, p := range pairs {
-		ratios = append(ratios, p[0].Speedup(p[1]))
-	}
-	return stats.Geomean(ratios), nil
 }
 
 // Options returns the runner options.
