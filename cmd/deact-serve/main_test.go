@@ -290,6 +290,10 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"invalid config", `{"Tenants":9999}`},
 		{"zero fabric latency", `{"FabricLatency":0}`},
 		{"zero FAM banks", `{"FAMCfg":{"Banks":0}}`},
+		{"32-way L3", `{"Hierarchy":{"L3Ways":32}}`},
+		{"zero L1 cache ways", `{"Hierarchy":{"L1Ways":0}}`},
+		{"zero L1 TLB entries", `{"MMU":{"L1Entries":0}}`},
+		{"STU ways above entries", `{"STUEntries":4,"STUWays":8}`},
 		{"trailing garbage", `{"Seed":1} {"Seed":2}`},
 		{"not json", `seed=1`},
 	} {

@@ -44,9 +44,10 @@
 // self-rescheduling components like cpu.Core implement directly; resource
 // calendars, page tables, ACM metadata and translation caches are all
 // array-backed. Cache replacement is exact LRU held in per-set rank words
-// (one uint64 of 4-bit way indices at assoc ≤ 16, property-tested
-// bit-identical to the per-way stamp fallback), so hit promotion and
-// victim selection are constant-width bit operations. One core.Run
+// (one uint64 of 4-bit way indices, so caches are at most 16-way;
+// property-tested bit-identical to a per-way stamp oracle kept in the
+// tests), so hit promotion and victim selection are constant-width bit
+// operations. One core.Run
 // simulates roughly 8× faster than the pointer-heap/map-backed engine it
 // replaced, with ~98% fewer allocations (see CHANGES.md for the measured
 // trajectory; BenchmarkEngine, BenchmarkCoreRun and BenchmarkCacheAccess
@@ -81,14 +82,14 @@
 // alone instead of warmup+measure.
 //
 // Contention is modeled by a batched calendar engine (package sim): each
-// memory-device bank, controller port and fabric link direction is a
-// sim.Server whose in-order arrivals pay a tail compare and whose
-// out-of-order arrivals book into a small gap calendar; sim.Resource keeps
-// the general sorted-interval form for the STU port. Both retire state
-// entirely in the simulated past against the engine clock (sim.Clock,
-// wired by core.NewSystem) — exact, O(1)-amortized pruning that replaced
-// the old lossy 512-entry calendar cap. Grants are bit-identical to the
-// unpruned interval calendar (the sim package cross-checks them
+// memory-device bank, controller port, fabric link direction and STU port
+// is a sim.Server whose in-order arrivals pay a tail compare and whose
+// out-of-order arrivals book into a small gap calendar. It retires idle
+// windows entirely in the simulated past against the engine clock
+// (sim.Clock, wired by core.NewSystem), pruning before the calendar grows
+// — exact, O(1)-amortized pruning that replaced the old lossy 512-entry
+// calendar cap. Grants are bit-identical to an unpruned sorted-interval
+// calendar kept in the sim tests as the oracle (cross-checked
 // property-style), so reports at a fixed seed are byte-identical across
 // the rewrite. BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
 // device-level cost (~tens of ns and 0 allocs per access); the cache

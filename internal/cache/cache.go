@@ -13,14 +13,13 @@
 // direct-mapped way cache — one MRU way per set — resolves repeat accesses
 // to a set's most recent block with a single probe, no scan at all.
 //
-// Replacement is exact LRU. At associativity ≤ 16 each set's full recency
-// order lives in one uint64 rank word (a 4-bit way index per recency
-// position, MRU first), so hit promotion and victim selection are
-// constant-width bit operations on a single word instead of a scan over a
-// per-way stamp array. Wider caches fall back to per-way stamps. The two
-// representations choose bit-identical victims (the rank word is
-// property-tested against the stamp implementation), so simulation output
-// does not depend on which one a geometry selects.
+// Replacement is exact LRU. Each set's full recency order lives in one
+// uint64 rank word (a 4-bit way index per recency position, MRU first), so
+// hit promotion and victim selection are constant-width bit operations on a
+// single word instead of a scan over a per-way stamp array. The word holds
+// at most 16 ways, so wider caches are a configuration error. The rank word
+// is property-tested against a per-way stamp implementation kept in the
+// tests as its oracle: the two choose bit-identical victims.
 //
 // Invariants: accesses allocate nothing, and a cache's behaviour is a pure
 // deterministic function of its access history — both properties the
@@ -47,7 +46,7 @@ type Victim struct {
 const invalidTag = ^uint64(0)
 
 // rankWays is the widest associativity whose recency order fits one rank
-// word: 16 ways × 4-bit way index.
+// word (16 ways × 4-bit way index), and so the widest cache New accepts.
 const rankWays = 16
 
 // Cache is one set-associative cache level.
@@ -61,14 +60,10 @@ type Cache struct {
 	dirty    []bool
 	mruWay   []uint16 // direct-mapped way cache: per set, the last way hit
 
-	// order is the rank-word recency state (ways ≤ rankWays): one uint64
-	// per set listing way indices MRU-first, 4 bits per recency position;
-	// unused high nibbles hold 0xF. nil in stamp mode.
+	// order is the rank-word recency state: one uint64 per set listing way
+	// indices MRU-first, 4 bits per recency position; unused high nibbles
+	// hold 0xF.
 	order []uint64
-	// used holds per-way LRU stamps (ways > rankWays); 0 for empty ways
-	// (stamps start at 1). nil in rank mode.
-	used []uint64
-	tick uint64
 
 	hits     uint64
 	misses   uint64
@@ -76,29 +71,31 @@ type Cache struct {
 }
 
 // New builds a cache of the given total size in bytes with the given
-// associativity and 64B blocks. Size must be a power-of-two multiple of
-// ways*64 so that the set count is a power of two.
+// associativity (1 to 16 ways) and 64B blocks. Size must be a power-of-two
+// multiple of ways*64 so that the set count is a power of two.
 func New(name string, sizeBytes uint64, ways int) (*Cache, error) {
 	return NewInArena(nil, name, sizeBytes, ways)
+}
+
+// checkGeometry validates one cache's geometry and returns its set count.
+func checkGeometry(name string, sizeBytes uint64, ways int) (sets uint64, err error) {
+	if ways <= 0 || ways > rankWays {
+		return 0, fmt.Errorf("cache %s: ways %d out of range [1,%d]", name, ways, rankWays)
+	}
+	sets = sizeBytes / (addr.BlockSize * uint64(ways))
+	if sets == 0 || sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("cache %s: %d bytes / %d ways yields non-power-of-two set count %d", name, sizeBytes, ways, sets)
+	}
+	return sets, nil
 }
 
 // NewInArena is New drawing the line arrays (tags, recency state, dirty
 // bits, way cache) from a, so a sweep's hundreds of systems recycle one
 // set of allocations. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache, error) {
-	return newCache(a, name, sizeBytes, ways, false)
-}
-
-// newCache is the real constructor. forceStamps selects the stamp
-// representation even at rank-word-capable associativities — the
-// equivalence property test uses it to pit the two against each other.
-func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStamps bool) (*Cache, error) {
-	if ways <= 0 || ways > 1<<16 {
-		return nil, fmt.Errorf("cache %s: ways %d out of range", name, ways)
-	}
-	sets := sizeBytes / (addr.BlockSize * uint64(ways))
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: %d bytes / %d ways yields non-power-of-two set count %d", name, sizeBytes, ways, sets)
+	sets, err := checkGeometry(name, sizeBytes, ways)
+	if err != nil {
+		return nil, err
 	}
 	n := sets * uint64(ways)
 	c := &Cache{
@@ -110,18 +107,14 @@ func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStam
 		tags:     arena.Slice[uint64](a, "cache.tags", int(n)),
 		dirty:    arena.Slice[bool](a, "cache.dirty", int(n)),
 		mruWay:   arena.Slice[uint16](a, "cache.mru", int(sets)),
+		order:    arena.Slice[uint64](a, "cache.order", int(sets)),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	if ways <= rankWays && !forceStamps {
-		c.order = arena.Slice[uint64](a, "cache.order", int(sets))
-		init := initOrderWord(ways)
-		for i := range c.order {
-			c.order[i] = init
-		}
-	} else {
-		c.used = arena.Slice[uint64](a, "cache.used", int(n))
+	init := initOrderWord(ways)
+	for i := range c.order {
+		c.order[i] = init
 	}
 	return c, nil
 }
@@ -142,8 +135,7 @@ func (c *Cache) recycle(a *arena.Arena) {
 	arena.Release(a, "cache.dirty", c.dirty)
 	arena.Release(a, "cache.mru", c.mruWay)
 	arena.Release(a, "cache.order", c.order)
-	arena.Release(a, "cache.used", c.used)
-	c.tags, c.dirty, c.mruWay, c.order, c.used = nil, nil, nil, nil, nil
+	c.tags, c.dirty, c.mruWay, c.order = nil, nil, nil, nil
 }
 
 // Rank-word layout: nibble p of a set's order word holds the way index at
@@ -213,14 +205,6 @@ func (c *Cache) Probe(a uint64) bool {
 // the victim.
 func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	set, tag := c.index(a)
-	if c.order != nil {
-		return c.accessRank(set, tag, write)
-	}
-	return c.accessStamp(set, tag, write)
-}
-
-// accessRank is the rank-word access path (ways ≤ rankWays).
-func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	base := set * uint64(c.ways)
 
 	// Way-cache probe: the MRU way is at rank position 0 by construction,
@@ -247,7 +231,7 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 	}
 
 	// Miss: the victim is the way at the LRU position — one nibble
-	// extraction where the stamp representation scans the whole set.
+	// extraction where a stamp representation would scan the whole set.
 	c.misses++
 	word := c.order[set]
 	vw := (word >> (4 * uint(c.ways-1))) & 0xF
@@ -260,57 +244,6 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 	c.dirty[lruIdx] = write
 	c.order[set] = promote(word, uint(c.ways-1), vw)
 	c.mruWay[set] = uint16(vw)
-	c.inserted++
-	return false, victim, evicted
-}
-
-// accessStamp is the per-way stamp access path (ways > rankWays).
-func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool) {
-	base := set * uint64(c.ways)
-	c.tick++
-
-	// Way-cache probe: repeat access to the set's MRU block skips the scan.
-	if i := base + uint64(c.mruWay[set]); c.tags[i] == tag {
-		c.used[i] = c.tick
-		if write {
-			c.dirty[i] = true
-		}
-		c.hits++
-		return true, Victim{}, false
-	}
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == tag {
-			c.used[i] = c.tick
-			if write {
-				c.dirty[i] = true
-			}
-			c.mruWay[set] = uint16(w)
-			c.hits++
-			return true, Victim{}, false
-		}
-	}
-
-	// Miss: a second scan picks the LRU way (empty ways carry stamp 0 and
-	// lose every comparison, so they fill first; ties go to the lowest way).
-	c.misses++
-	lruIdx := base
-	lruStamp := c.used[base]
-	for w := 1; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.used[i] < lruStamp {
-			lruStamp = c.used[i]
-			lruIdx = i
-		}
-	}
-	if c.tags[lruIdx] != invalidTag {
-		victim = Victim{Addr: c.reconstruct(lruIdx, c.tags[lruIdx]), Dirty: c.dirty[lruIdx]}
-		evicted = true
-	}
-	c.tags[lruIdx] = tag
-	c.dirty[lruIdx] = write
-	c.used[lruIdx] = c.tick
-	c.mruWay[set] = uint16(lruIdx - base)
 	c.inserted++
 	return false, victim, evicted
 }
@@ -333,11 +266,7 @@ func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
 			present, dirty = true, c.dirty[i]
 			c.tags[i] = invalidTag
 			c.dirty[i] = false
-			if c.order != nil {
-				c.demote(set, base, w)
-			} else {
-				c.used[i] = 0
-			}
+			c.demote(set, base, w)
 			return present, dirty
 		}
 	}

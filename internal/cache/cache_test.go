@@ -15,6 +15,9 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	if _, err := New("x", 0, 4); err == nil {
 		t.Error("zero size accepted")
 	}
+	if _, err := New("x", 64*32, 32); err == nil {
+		t.Error("32 ways accepted (the rank word holds at most 16)")
+	}
 	c, err := New("l1", 32*1024, 8)
 	if err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)

@@ -45,6 +45,23 @@ type HierarchyConfig struct {
 	L3Ways int
 }
 
+// Validate checks the core count and every level's geometry.
+func (c HierarchyConfig) Validate() error {
+	if c.Cores <= 0 {
+		return fmt.Errorf("cache: cores must be positive")
+	}
+	for _, l := range []struct {
+		name string
+		size uint64
+		ways int
+	}{{"l1", c.L1Size, c.L1Ways}, {"l2", c.L2Size, c.L2Ways}, {"l3", c.L3Size, c.L3Ways}} {
+		if _, err := checkGeometry(l.name, l.size, l.ways); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Hierarchy is an inclusive three-level cache hierarchy: private L1 and L2
 // per core, one shared L3. Inclusivity is enforced by back-invalidating L1
 // and L2 when the L3 evicts a block.
@@ -62,8 +79,8 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // NewHierarchyInArena is NewHierarchy drawing every cache's line arrays
 // from a (nil allocates normally). Recycle returns them.
 func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("cache: cores must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{}
 	for i := 0; i < cfg.Cores; i++ {

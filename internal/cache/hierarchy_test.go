@@ -98,6 +98,24 @@ func TestNewHierarchyRejectsBadConfig(t *testing.T) {
 	if _, err := NewHierarchy(HierarchyConfig{Cores: 1, L1Size: 100, L1Ways: 3}); err == nil {
 		t.Fatal("bad L1 geometry accepted")
 	}
+	good := HierarchyConfig{Cores: 1, L1Size: 8 << 10, L1Ways: 8, L2Size: 64 << 10, L2Ways: 8, L3Size: 256 << 10, L3Ways: 16}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid hierarchy rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*HierarchyConfig){
+		"L1Ways=0":  func(c *HierarchyConfig) { c.L1Ways = 0 },
+		"L2Size=0":  func(c *HierarchyConfig) { c.L2Size = 0 },
+		"L3Ways=32": func(c *HierarchyConfig) { c.L3Ways = 32 },
+	} {
+		c := good
+		mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted by Validate", name)
+		}
+		if _, err := NewHierarchy(c); err == nil {
+			t.Errorf("%s accepted by NewHierarchy", name)
+		}
+	}
 }
 
 func TestHitLevelString(t *testing.T) {

@@ -6,32 +6,100 @@ import (
 	"testing"
 )
 
-// oraclePair builds the same geometry twice: once with the rank-word
-// representation New selects at assoc ≤ 16, once forced onto the per-way
-// stamp representation the rank word replaced. The stamp cache is the
-// oracle: the rank word is only correct if every observable output —
-// hit/miss, victim identity, victim dirtiness, Probe — is bit-identical.
-func oraclePair(t *testing.T, sizeBytes uint64, ways int) (rank, stamp *Cache) {
+// stampCache is the per-way stamp LRU the rank word replaced, kept here as
+// its oracle. Each way records the tick of its last use; empty ways hold 0
+// and lose every comparison, so they fill first, and ties go to the lowest
+// way. It shares only the index arithmetic with Cache, so the rank word is
+// correct only if every observable output — hit/miss, victim identity,
+// victim dirtiness, Probe — is bit-identical to this.
+type stampCache struct {
+	geom         *Cache // supplies index and reconstruct; its lines are unused
+	tags         []uint64
+	dirty        []bool
+	used         []uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+func newStampCache(geom *Cache) *stampCache {
+	n := geom.sets * uint64(geom.ways)
+	s := &stampCache{geom: geom, tags: make([]uint64, n), dirty: make([]bool, n), used: make([]uint64, n)}
+	for i := range s.tags {
+		s.tags[i] = invalidTag
+	}
+	return s
+}
+
+func (s *stampCache) find(a uint64) (base, idx uint64, ok bool) {
+	set, tag := s.geom.index(a)
+	base = set * uint64(s.geom.ways)
+	for w := 0; w < s.geom.ways; w++ {
+		if i := base + uint64(w); s.tags[i] == tag {
+			return base, i, true
+		}
+	}
+	return base, 0, false
+}
+
+func (s *stampCache) Probe(a uint64) bool {
+	_, _, ok := s.find(a)
+	return ok
+}
+
+func (s *stampCache) Access(a uint64, write bool) (hit bool, victim Victim, evicted bool) {
+	s.tick++
+	base, i, ok := s.find(a)
+	if ok {
+		s.used[i] = s.tick
+		s.dirty[i] = s.dirty[i] || write
+		s.hits++
+		return true, Victim{}, false
+	}
+	s.misses++
+	lru := base
+	for w := 1; w < s.geom.ways; w++ {
+		if j := base + uint64(w); s.used[j] < s.used[lru] {
+			lru = j
+		}
+	}
+	if s.tags[lru] != invalidTag {
+		victim = Victim{Addr: s.geom.reconstruct(lru, s.tags[lru]), Dirty: s.dirty[lru]}
+		evicted = true
+	}
+	_, s.tags[lru] = s.geom.index(a)
+	s.dirty[lru] = write
+	s.used[lru] = s.tick
+	return false, victim, evicted
+}
+
+func (s *stampCache) Invalidate(a uint64) (present, dirty bool) {
+	_, i, ok := s.find(a)
+	if !ok {
+		return false, false
+	}
+	dirty = s.dirty[i]
+	s.tags[i], s.dirty[i], s.used[i] = invalidTag, false, 0
+	return true, dirty
+}
+
+// lruCache is the surface a Cache and its stamp oracle share.
+type lruCache interface {
+	Access(a uint64, write bool) (hit bool, victim Victim, evicted bool)
+	Invalidate(a uint64) (present, dirty bool)
+}
+
+// oraclePair builds a cache and a stamp oracle of the same geometry.
+func oraclePair(t *testing.T, sizeBytes uint64, ways int) (*Cache, *stampCache) {
 	t.Helper()
-	rank, err := newCache(nil, "rank", sizeBytes, ways, false)
+	rank, err := New("rank", sizeBytes, ways)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rank.order == nil {
-		t.Fatalf("geometry %d/%d did not select the rank word", sizeBytes, ways)
-	}
-	stamp, err = newCache(nil, "stamp", sizeBytes, ways, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stamp.used == nil {
-		t.Fatal("forceStamps did not select the stamp representation")
-	}
-	return rank, stamp
+	return rank, newStampCache(MustNew("geom", sizeBytes, ways))
 }
 
 // TestRankWordMatchesStampOracle drives randomized access/invalidate
-// streams through both representations at every rank-capable associativity
+// streams through both representations at associativities from 1 to 16
 // and requires bit-identical observable behaviour at each step. The
 // address range is kept tight (a few sets' worth of conflicting blocks) so
 // evictions, refills and re-invalidations all occur constantly.
@@ -80,9 +148,9 @@ func TestRankWordMatchesStampOracle(t *testing.T) {
 					t.Fatalf("step %d: Probe diverged", i)
 				}
 			}
-			if rank.Hits() != stamp.Hits() || rank.Misses() != stamp.Misses() {
+			if rank.Hits() != stamp.hits || rank.Misses() != stamp.misses {
 				t.Fatalf("counters diverged: rank %d/%d stamp %d/%d",
-					rank.Hits(), rank.Misses(), stamp.Hits(), stamp.Misses())
+					rank.Hits(), rank.Misses(), stamp.hits, stamp.misses)
 			}
 		})
 	}
@@ -94,7 +162,7 @@ func TestRankWordMatchesStampOracle(t *testing.T) {
 func TestRankWordInvalidateTieBreak(t *testing.T) {
 	for _, order := range [][2]uint64{{1, 3}, {3, 1}} {
 		rank, stamp := oraclePair(t, 64*4, 4) // one set, 4 ways
-		for _, c := range []*Cache{rank, stamp} {
+		for _, c := range []lruCache{rank, stamp} {
 			for w := uint64(0); w < 4; w++ {
 				c.Access(w*64, false) // fill ways 0..3 with blocks 0..3
 			}

@@ -5,17 +5,14 @@ import (
 )
 
 // State is one Cache's mutable state for core.System.Snapshot: the full
-// line arrays (tags, dirty bits, way cache, whichever recency
-// representation the geometry selected) plus the counters. Geometry fields
+// line arrays (tags, dirty bits, way cache, rank words) plus the counters. Geometry fields
 // (sets, ways, masks) are not captured — a State is only restored into a
 // cache built from the identical configuration.
 type State struct {
 	tags   []uint64
 	dirty  []bool
 	mruWay []uint16
-	order  []uint64 // rank mode; empty in stamp mode
-	used   []uint64 // stamp mode; empty in rank mode
-	tick   uint64
+	order  []uint64
 
 	hits     uint64
 	misses   uint64
@@ -29,8 +26,6 @@ func (c *Cache) CaptureState(a *arena.Arena, st *State) {
 	st.dirty = arena.CopyInto(a, "snap.cache.dirty", st.dirty, c.dirty)
 	st.mruWay = arena.CopyInto(a, "snap.cache.mru", st.mruWay, c.mruWay)
 	st.order = arena.CopyInto(a, "snap.cache.order", st.order, c.order)
-	st.used = arena.CopyInto(a, "snap.cache.used", st.used, c.used)
-	st.tick = c.tick
 	st.hits, st.misses, st.inserted = c.hits, c.misses, c.inserted
 }
 
@@ -38,15 +33,13 @@ func (c *Cache) CaptureState(a *arena.Arena, st *State) {
 // arrays (no aliasing with st). The cache must have the geometry st was
 // captured from.
 func (c *Cache) RestoreState(st *State) {
-	if len(st.tags) != len(c.tags) || len(st.order) != len(c.order) || len(st.used) != len(c.used) {
+	if len(st.tags) != len(c.tags) || len(st.order) != len(c.order) {
 		panic("cache: RestoreState geometry mismatch for " + c.name)
 	}
 	copy(c.tags, st.tags)
 	copy(c.dirty, st.dirty)
 	copy(c.mruWay, st.mruWay)
 	copy(c.order, st.order)
-	copy(c.used, st.used)
-	c.tick = st.tick
 	c.hits, c.misses, c.inserted = st.hits, st.misses, st.inserted
 }
 
@@ -57,8 +50,7 @@ func (st *State) Release(a *arena.Arena) {
 	arena.Release(a, "snap.cache.dirty", st.dirty)
 	arena.Release(a, "snap.cache.mru", st.mruWay)
 	arena.Release(a, "snap.cache.order", st.order)
-	arena.Release(a, "snap.cache.used", st.used)
-	st.tags, st.dirty, st.mruWay, st.order, st.used = nil, nil, nil, nil, nil
+	st.tags, st.dirty, st.mruWay, st.order = nil, nil, nil, nil
 }
 
 // HierarchyState captures every level of a Hierarchy. The writeback scratch

@@ -251,7 +251,7 @@ var ErrInvalidConfig = errors.New("core: invalid config")
 
 // Validate checks the configuration. It is a pure check on a value
 // receiver: derived fields (Hierarchy.Cores) are normalized where they are
-// consumed — nodeConfig and Fingerprint — not mutated here.
+// consumed — hierarchyConfig and Fingerprint — not mutated here.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
@@ -268,8 +268,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: IssueWidth must be positive", ErrInvalidConfig)
 	case c.MaxOutstanding <= 0:
 		return fmt.Errorf("%w: MaxOutstanding must be positive", ErrInvalidConfig)
-	case c.STUEntries <= 0 || c.STUWays <= 0:
-		return fmt.Errorf("%w: STU geometry invalid", ErrInvalidConfig)
 	}
 	switch {
 	case c.CoreModel != "" && c.CoreModel != CoreInOrder && c.CoreModel != CoreOoO:
@@ -315,9 +313,12 @@ func (c Config) Validate() error {
 	case c.TraceID != "" && c.Pattern != "":
 		return fmt.Errorf("%w: TraceID and Pattern are mutually exclusive (a replay does not synthesize)", ErrInvalidConfig)
 	}
-	// The device and fabric constructors panic on configs their own
-	// validators reject, so those validators are part of this gate.
-	for _, err := range []error{c.Layout.Validate(), c.fabricConfig().Validate(), c.DRAMCfg.Validate(), c.FAMCfg.Validate()} {
+	// Every component constructor rejects (or panics on) configs its own
+	// validator rejects, so those validators are part of this gate.
+	for _, err := range []error{
+		c.Layout.Validate(), c.fabricConfig().Validate(), c.DRAMCfg.Validate(), c.FAMCfg.Validate(),
+		c.hierarchyConfig().Validate(), c.MMU.Validate(), c.stuConfig().Validate(),
+	} {
 		if err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
@@ -328,6 +329,24 @@ func (c Config) Validate() error {
 // fabricConfig derives the interconnect configuration.
 func (c Config) fabricConfig() fabric.Config {
 	return fabric.Config{Latency: c.FabricLatency, PacketTime: c.FabricPacketTime}
+}
+
+// hierarchyConfig derives the per-node cache hierarchy: one private L1/L2
+// pair per core.
+func (c Config) hierarchyConfig() cache.HierarchyConfig {
+	h := c.Hierarchy
+	h.Cores = c.CoresPerNode
+	return h
+}
+
+// stuConfig derives the per-node STU configuration.
+func (c Config) stuConfig() stu.Config {
+	return stu.Config{
+		Entries: c.STUEntries, Ways: c.STUWays, Org: stuOrg(c.Scheme),
+		ACMBits: c.Layout.ACMBits, PairsPerWay: c.PairsPerWay,
+		PTWCacheEntries: c.MMU.PTWEntries, LookupTime: c.STULookup,
+		TrustReads: c.TrustReads,
+	}
 }
 
 // tenantFor returns the tenant of core ci on node ni (both 0-based):
@@ -371,8 +390,6 @@ func stuOrg(s Scheme) stu.Organization {
 
 // nodeConfig derives the per-node configuration.
 func (c Config) nodeConfig(id uint16) node.Config {
-	h := c.Hierarchy
-	h.Cores = c.CoresPerNode
 	return node.Config{
 		ID:          id,
 		Cores:       c.CoresPerNode,
@@ -381,15 +398,10 @@ func (c Config) nodeConfig(id uint16) node.Config {
 		LocalEveryN: c.LocalEveryN,
 		CycleTime:   c.CycleTime,
 		L1Lat:       c.L1Lat, L2Lat: c.L2Lat, L3Lat: c.L3Lat, TLBL2Lat: c.TLBL2Lat,
-		Hierarchy: h,
+		Hierarchy: c.hierarchyConfig(),
 		MMU:       c.MMU,
 		DRAM:      c.DRAMCfg,
-		STU: stu.Config{
-			Entries: c.STUEntries, Ways: c.STUWays, Org: stuOrg(c.Scheme),
-			ACMBits: c.Layout.ACMBits, PairsPerWay: c.PairsPerWay,
-			PTWCacheEntries: c.MMU.PTWEntries, LookupTime: c.STULookup,
-			TrustReads: c.TrustReads,
-		},
+		STU:       c.stuConfig(),
 		Translator: translator.Config{
 			CacheBytes:   c.TranslationCacheBytes,
 			Outstanding:  c.Outstanding,

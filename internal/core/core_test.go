@@ -58,6 +58,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.FabricLatency = 0 },
 		func(c *Config) { c.FAMCfg.Banks = 0 },
 		func(c *Config) { c.DRAMCfg.Banks = 0 },
+		func(c *Config) { c.Hierarchy.L1Ways = 0 },
+		func(c *Config) { c.Hierarchy.L3Ways = 32 },
+		func(c *Config) { c.MMU.L1Entries = 0 },
+		func(c *Config) { c.MMU.L2Entries, c.MMU.L2Ways = 24, 8 },
+		func(c *Config) { c.STUEntries, c.STUWays = 3, 2 },
+		func(c *Config) { c.STUEntries, c.STUWays = 4, 8 },
 	}
 	for i, m := range mutations {
 		cfg := DefaultConfig()

@@ -44,7 +44,7 @@ func (c Config) WarmupFingerprint() string {
 // normalized returns the config with derived fields rewritten to the values
 // Run will actually use, so they cannot split or alias run identities.
 func (c Config) normalized() Config {
-	// nodeConfig overwrites the hierarchy's core count with CoresPerNode;
+	// hierarchyConfig overwrites the hierarchy's core count with CoresPerNode;
 	// a stale Hierarchy.Cores never reaches the simulation.
 	c.Hierarchy.Cores = c.CoresPerNode
 	// 0 and 1 are two spellings of "single-tenant" and "one broker shard"

@@ -2,18 +2,10 @@ package sim
 
 import "sort"
 
-// Clock supplies the current simulated time. *Engine implements it; resource
-// calendars bound to a clock use it as a pruning watermark: no future request
-// can arrive before the engine's current time (access chains are computed
-// forward from the dispatching event), so bookings entirely in the past can
-// be retired exactly, without the over-serialization a lossy size cap causes.
-type Clock interface {
-	Now() Time
-}
-
-// Resource models a serially occupied hardware resource (a DRAM bank, a
-// fabric link direction, an STU port). A request occupies the resource for
-// its service time; overlapping requests queue.
+// Resource is the reference implementation of Server's contract, kept as
+// the oracle TestContentionImplementationsAgree compares Server against. It
+// models a serially occupied resource: a request occupies it for its
+// service time; overlapping requests queue.
 //
 // Unlike the classic "next free time" scalar, the resource books *busy
 // intervals* and lets a request start in any idle gap at or after its
@@ -34,8 +26,7 @@ type Clock interface {
 // Acquire then retires intervals that ended at or before that watermark.
 // Retirement is exact (only unreachable calendar state is dropped) and O(1)
 // amortized: each interval is appended once, skipped once, and compacted
-// away once. An unbound Resource keeps its whole calendar; production
-// resources are bound to the engine by core.NewSystem.
+// away once. An unbound Resource keeps its whole calendar.
 type Resource struct {
 	clock     Clock
 	intervals []interval // intervals[head:] is live: sorted, non-overlapping

@@ -1,24 +1,39 @@
 package sim
 
-// Server models the same contract as Resource — a serially occupied
-// resource whose requests may start in any idle window at or after their
-// arrival — with a representation batched for the common case: a single
-// tail time serves in-order arrivals in O(1), and only out-of-order
-// arrivals (a request computed by an access chain that started earlier than
-// another chain's bookings) consult a small calendar of idle gaps.
+// Clock supplies the current simulated time. *Engine implements it; a
+// Server bound to a clock uses it as a pruning watermark: no future request
+// can arrive before the engine's current time (access chains are computed
+// forward from the dispatching event), so idle windows entirely in the past
+// can be retired exactly, without the over-serialization a lossy size cap
+// causes.
+type Clock interface {
+	Now() Time
+}
+
+// Server models a serially occupied hardware resource (a DRAM bank, a
+// fabric link direction, an STU port). A request occupies the server for
+// its service time; overlapping requests queue. A request may start in any
+// idle window at or after its arrival, not only behind the last booking:
+// the simulator computes whole access chains synchronously (a page-table
+// walk books a link at T, T+1.1µs, T+2.2µs…), and a scalar next-free time
+// would queue every other requester behind the last of those bookings even
+// though the link is idle in between, serializing the whole machine.
 //
-// The two representations are complements of each other: Resource stores
-// the busy intervals, Server stores the tail of the last booking plus the
-// idle gaps before it. For the memory-device banks and fabric links, whose
-// arrivals are overwhelmingly tail-ordered, the gap calendar stays near
-// empty and Acquire is a compare and an add.
+// The representation is batched for the common case: a single tail time
+// serves in-order arrivals in O(1), and only out-of-order arrivals (a
+// request computed by an access chain that started earlier than another
+// chain's bookings) consult a small calendar of idle gaps before the tail.
+// Arrivals at the memory-device banks, fabric links and STU ports are
+// overwhelmingly tail-ordered, so the gap calendar stays near empty and
+// Acquire is a compare and an add. (The test-only Resource stores the busy
+// intervals instead and serves as this type's oracle.)
 //
-// Like Resource, a Server bound to a Clock retires gaps that closed at or
-// before the engine's current time — exact pruning, since no future arrival
-// can precede it. Pruning is kept off the tail fast path: it runs when an
-// out-of-order arrival is about to scan the calendar, and when the calendar
-// needs room, both O(1) amortized (each gap is appended, skipped and
-// compacted away once).
+// A Server bound to a Clock retires gaps that closed at or before the
+// engine's current time — exact pruning, since no future arrival can
+// precede it. Pruning is kept off the tail fast path: it runs when the
+// calendar needs room, before anything grows, O(1) amortized (each gap is
+// appended, skipped and compacted away once). The backing array therefore
+// stays proportional to the reachable calendar.
 type Server struct {
 	clock     Clock
 	tail      Time  // end of the last booking; everything at/after is free
@@ -31,10 +46,12 @@ type Server struct {
 
 type gap struct{ start, end Time }
 
-// maxLiveGaps bounds the live gap calendar for servers without a bound
-// clock (or whose clock lags far behind): when exceeded, the oldest gap is
-// forgotten (no longer bookable), which only over-serializes the distant
-// past. A clock-bound server prunes exactly and in practice never hits it.
+// maxLiveGaps bounds the live gap calendar of a server without a bound
+// clock: when exceeded, the oldest gap is forgotten (no longer bookable),
+// which only over-serializes the distant past. A clock-bound server never
+// forgets a gap — it prunes exactly, so its calendar holds only windows a
+// future arrival can still book, and its grants equal the exact interval
+// calendar's.
 const maxLiveGaps = 512
 
 // Bind attaches the pruning clock. The caller guarantees that no subsequent
@@ -135,24 +152,35 @@ func (s *Server) pushGap(from, to Time) {
 	if to <= s.watermark {
 		return // already unreachable
 	}
-	// Bound the live calendar for unbound (or badly lagging) clocks by
-	// forgetting the oldest idle window: an O(1) head advance, no copy.
-	if len(s.gaps)-s.head >= maxLiveGaps {
+	s.makeRoom(len(s.gaps))
+	s.gaps = append(s.gaps, gap{start: from, end: to})
+}
+
+// makeRoom readies the calendar for one more gap and returns the new index
+// of gaps[pin], the gap a caller is about to split (len(gaps) pins
+// nothing). It works only when the backing array is full or an unbound
+// server's live calendar is at its bound: it retires what the clock
+// allows, applies the unbound live bound by forgetting the oldest window
+// (never the pinned one), then compacts the retired prefix away once it is
+// half the slice. Append therefore grows the array only when live gaps
+// fill it. Compaction (here or inside Prune) moves gaps down but keeps
+// their distance from the end, which is how pin is carried across it.
+func (s *Server) makeRoom(pin int) int {
+	lossy := s.clock == nil && len(s.gaps)-s.head >= maxLiveGaps
+	if len(s.gaps) < cap(s.gaps) && !lossy {
+		return pin
+	}
+	fromEnd := len(s.gaps) - pin
+	s.prune()
+	if lossy && s.head < len(s.gaps)-fromEnd {
 		s.head++
 	}
-	if len(s.gaps) == cap(s.gaps) {
-		// About to grow: retire what the clock allows and compact when
-		// that halves the slice — otherwise let append grow it. Either way
-		// the work is O(1) amortized per push and memory stays
-		// O(maxLiveGaps).
-		s.prune()
-		if s.head*2 >= len(s.gaps) {
-			n := copy(s.gaps, s.gaps[s.head:])
-			s.gaps = s.gaps[:n]
-			s.head = 0
-		}
+	if len(s.gaps) == cap(s.gaps) && s.head*2 >= len(s.gaps) {
+		n := copy(s.gaps, s.gaps[s.head:])
+		s.gaps = s.gaps[:n]
+		s.head = 0
 	}
-	s.gaps = append(s.gaps, gap{start: from, end: to})
+	return len(s.gaps) - fromEnd
 }
 
 // bookInGap splits gaps[i] around the booking [start, done).
@@ -163,13 +191,9 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 	hasR := right.end > right.start
 	switch {
 	case hasL && hasR:
-		// An interior booking nets one extra live gap; honor the same
-		// live bound as pushGap (dropping the oldest window) so unbound
-		// servers stay bounded under split-heavy patterns too. Skip when
-		// the oldest live gap is the one being split.
-		if len(s.gaps)-s.head >= maxLiveGaps && s.head < i {
-			s.head++
-		}
+		// An interior booking nets one extra live gap. Gap i ends after
+		// this booking, so pruning cannot retire it.
+		i = s.makeRoom(i)
 		s.gaps = append(s.gaps, gap{})
 		copy(s.gaps[i+2:], s.gaps[i+1:])
 		s.gaps[i] = left

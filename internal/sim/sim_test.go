@@ -450,13 +450,14 @@ func TestResourceCountersSurvivePruning(t *testing.T) {
 	}
 }
 
-// contentionSequence drives a randomized arrival pattern against several
-// calendar implementations at once: a pruned Resource, an unpruned
-// Resource (the oracle), and a clock-bound Server. The engine time trails
-// the arrival front the way real event dispatch does, and arrivals jitter
-// backward within the trailing window to exercise out-of-order gap booking
-// across the watermark boundary.
-func contentionSequence(t *testing.T, seed int64) {
+// contentionSequence drives a randomized arrival pattern of the given
+// length against several calendar implementations at once: a pruned
+// Resource, an unpruned Resource (the oracle), and a clock-bound Server,
+// which it returns. The engine time trails the arrival front the way real
+// event dispatch does, and arrivals jitter backward within the trailing
+// window to exercise out-of-order gap booking across the watermark
+// boundary.
+func contentionSequence(t *testing.T, seed int64, steps int) *Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var oracle, pruned Resource
@@ -465,7 +466,7 @@ func contentionSequence(t *testing.T, seed int64) {
 	pruned.Bind(clk)
 	srv.Bind(clk)
 	var front Time // the farthest arrival seen; the clock trails it
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < steps; i++ {
 		front += Time(rng.Intn(200))
 		// Arrivals land anywhere between the clock and the front (chains
 		// started at earlier events finish their bookings late).
@@ -498,15 +499,15 @@ func contentionSequence(t *testing.T, seed int64) {
 	if oracle.BusyTime() != srv.BusyTime() || oracle.Uses() != srv.Uses() {
 		t.Fatalf("seed %d: server counters diverged", seed)
 	}
-	// Retirement is amortized (pushes bound the list, splits ride between
-	// capacity events), so live state may exceed the nominal bound between
-	// prunes but stays O(maxLiveGaps).
+	// Retirement is amortized (it runs when a calendar needs room), so live
+	// state may exceed the trailing window between prunes but stays small.
 	if live := pruned.live(); live > 1024 {
 		t.Fatalf("seed %d: pruned calendar grew to %d live intervals", seed, live)
 	}
 	if gaps := srv.liveGaps(); gaps > 1024 {
 		t.Fatalf("seed %d: server gap calendar grew to %d", seed, gaps)
 	}
+	return &srv
 }
 
 // TestContentionImplementationsAgree is the fuzz-style cross-check: pruning
@@ -515,7 +516,56 @@ func contentionSequence(t *testing.T, seed int64) {
 // calendar.
 func TestContentionImplementationsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		contentionSequence(t, seed)
+		contentionSequence(t, seed, 5000)
+	}
+}
+
+// TestServerGapArrayStaysBounded is the regression test for unbounded gap
+// growth: interior splits used to append to a full slice without pruning
+// first, so each split-triggered growth doubled the backing array and the
+// lossy live bound, not exact pruning, held the live window at
+// maxLiveGaps. A clock-bound server must prune before it grows.
+func TestServerGapArrayStaysBounded(t *testing.T) {
+	steps := 200_000
+	if testing.Short() {
+		steps = 50_000
+	}
+	srv := contentionSequence(t, 99, steps)
+	if c := cap(srv.gaps); c > 2*maxLiveGaps {
+		t.Fatalf("gap array grew to capacity %d (live %d) over %d steps", c, srv.liveGaps(), steps)
+	}
+	if live := srv.liveGaps(); live >= maxLiveGaps {
+		t.Fatalf("live calendar holds %d gaps: pruning is not keeping up with the clock", live)
+	}
+}
+
+// TestLiveBoundOnlyForUnboundServers: a clock-bound server keeps every
+// gap its clock has not passed, however many, so it grants what the exact
+// interval calendar grants (the STU port relies on this under deep
+// out-of-order arrival windows). Only a server with no clock forgets its
+// oldest gap past maxLiveGaps.
+func TestLiveBoundOnlyForUnboundServers(t *testing.T) {
+	clk := &fakeClock{}
+	var bound, unbound Server
+	var oracle Resource
+	bound.Bind(clk)
+	oracle.Bind(clk)
+	for i := 0; i <= maxLiveGaps+100; i++ {
+		// Unit bookings ten apart leave a 9-wide idle gap before each.
+		bound.Acquire(Time(i*10), 1)
+		unbound.Acquire(Time(i*10), 1)
+		oracle.Acquire(Time(i*10), 1)
+	}
+	if live := bound.liveGaps(); live <= maxLiveGaps {
+		t.Fatalf("bound server holds %d gaps, want more than %d", live, maxLiveGaps)
+	}
+	// The oldest gap, [1,10), is still reachable: the clock sits at 0.
+	want, _ := oracle.Acquire(2, 5)
+	if got, _ := bound.Acquire(2, 5); got != want || want != 2 {
+		t.Fatalf("bound server started at %d, oracle at %d, want 2", got, want)
+	}
+	if got, _ := unbound.Acquire(2, 5); got == 2 {
+		t.Fatal("unbound server kept its oldest gap past maxLiveGaps")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Snapshot state for the engine and its resource calendars. The state types
+// Snapshot state for the engine and its server calendars. The state types
 // here (and in the component packages) follow one pattern: a value-type
 // XxxState with a CaptureState(*XxxState) that overwrites the target in
 // place — reusing its backing arrays, so repeated captures into a recycled
@@ -60,29 +60,4 @@ func (s *Server) RestoreState(st *ServerState) {
 	s.tail, s.watermark, s.busy, s.uses = st.tail, st.watermark, st.busy, st.uses
 	s.gaps = append(s.gaps[:0], st.gaps...)
 	s.head = 0
-}
-
-// ResourceState captures a Resource's interval calendar, retired prefix
-// dropped like ServerState. The uses counter matters beyond stats: it drives
-// the amortized prune cadence (uses&63), so restoring it keeps a forked
-// run's prune points — and therefore its exact calendar contents —
-// identical to a cold run's.
-type ResourceState struct {
-	watermark Time
-	busy      Time
-	uses      uint64
-	intervals []interval
-}
-
-// CaptureState captures the resource into st, reusing st's storage.
-func (r *Resource) CaptureState(st *ResourceState) {
-	st.watermark, st.busy, st.uses = r.watermark, r.busy, r.uses
-	st.intervals = append(st.intervals[:0], r.intervals[r.head:]...)
-}
-
-// RestoreState rewinds the resource to st, keeping the bound clock.
-func (r *Resource) RestoreState(st *ResourceState) {
-	r.watermark, r.busy, r.uses = st.watermark, st.busy, st.uses
-	r.intervals = append(r.intervals[:0], st.intervals...)
-	r.head = 0
 }

@@ -16,9 +16,10 @@
 //
 // The STU sits on the per-FAM-access hot path of every scheme but E-FAM:
 // lookups, ACM checks and FAM-table walks are array-backed and
-// allocation-free in steady state, the port is a sim.Resource calendar
-// bound to the engine clock, and all behaviour is deterministic for a
-// fixed seed.
+// allocation-free in steady state, the port is a sim.Server bound to the
+// engine clock, the cache is the node TLB's set-associative LRU table
+// (tlb.Table) instantiated per organization, and all behaviour is
+// deterministic for a fixed seed.
 package stu
 
 import (
@@ -155,11 +156,11 @@ type STU struct {
 	famRead FAMAccessFunc
 	fault   func(np addr.NPPage) (addr.FPage, error) // broker allocation callback
 
-	port sim.Resource
+	port sim.Server
 
-	ifam   *assoc[ifamEntry] // OrgIFAM
-	wcache *assoc[struct{}]  // OrgDeACTW: key = ACM group of contiguous pages
-	ncache *assoc[acm.Entry] // OrgDeACTN: key = FAM page (44-bit tag modeled exactly)
+	ifam   *tlb.Table[ifamEntry] // OrgIFAM
+	wcache *tlb.Table[struct{}]  // OrgDeACTW: key = ACM group of contiguous pages
+	ncache *tlb.Table[acm.Entry] // OrgDeACTN: key = FAM page (44-bit tag modeled exactly)
 	ptw    *tlb.PTWCache
 
 	walkBuf []pagetable.WalkStep // scratch reused across FAM-table walks
@@ -192,15 +193,20 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 		fault:   fault,
 		ptw:     tlb.NewPTWCache(cfg.PTWCacheEntries),
 	}
+	var err error
 	switch cfg.Org {
 	case OrgIFAM:
-		s.ifam = newAssoc[ifamEntry](cfg.Entries, cfg.Ways)
+		s.ifam, err = tlb.NewTable[ifamEntry]("stu.ifam", cfg.Entries, cfg.Ways)
 	case OrgDeACTW:
-		s.wcache = newAssoc[struct{}](cfg.Entries, cfg.Ways)
+		s.wcache, err = tlb.NewTable[struct{}]("stu.deact-w", cfg.Entries, cfg.Ways)
 	case OrgDeACTN:
-		s.ncache = newAssoc[acm.Entry](cfg.Entries*cfg.pairsPerWay(), cfg.Ways*cfg.pairsPerWay())
+		p := cfg.pairsPerWay()
+		s.ncache, err = tlb.NewTable[acm.Entry]("stu.deact-n", cfg.Entries*p, cfg.Ways*p)
 	default:
 		return nil, fmt.Errorf("stu: unknown organization %v", cfg.Org)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -208,8 +214,8 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 // Stats returns a copy of the accumulated counters.
 func (s *STU) Stats() Stats { return s.stats }
 
-// Bind attaches the engine clock to the STU port so its reservation
-// calendar retires bookings entirely in the past (see sim.Clock).
+// Bind attaches the engine clock to the STU port so its gap calendar
+// retires idle windows entirely in the past (see sim.Clock).
 func (s *STU) Bind(c sim.Clock) { s.port.Bind(c) }
 
 // NodeID returns the node this STU guards.
@@ -270,10 +276,10 @@ func (s *STU) lookupACM(fp addr.FPage) (acm.Entry, bool) {
 		return acm.Entry{}, false
 	case OrgDeACTW:
 		group := uint64(fp) / s.cfg.pagesPerWay()
-		_, ok := s.wcache.lookup(group)
+		_, ok := s.wcache.Lookup(group)
 		return s.meta.Entry(fp), ok
 	default:
-		return s.ncache.lookup(n44(fp))
+		return s.ncache.Lookup(n44(fp))
 	}
 }
 
@@ -281,9 +287,9 @@ func (s *STU) lookupACM(fp addr.FPage) (acm.Entry, bool) {
 func (s *STU) fillACM(fp addr.FPage) {
 	switch s.cfg.Org {
 	case OrgDeACTW:
-		s.wcache.insert(uint64(fp)/s.cfg.pagesPerWay(), struct{}{})
+		s.wcache.Insert(uint64(fp)/s.cfg.pagesPerWay(), struct{}{})
 	case OrgDeACTN:
-		s.ncache.insert(n44(fp), s.meta.Entry(fp))
+		s.ncache.Insert(n44(fp), s.meta.Entry(fp))
 	}
 }
 
@@ -361,7 +367,7 @@ func (s *STU) TranslateAndVerify(now sim.Time, npPage addr.NPPage, want acm.Perm
 		return now, 0, acm.Decision{}, fmt.Errorf("stu: TranslateAndVerify requires the I-FAM organization, have %v", s.cfg.Org)
 	}
 	_, t := s.port.Acquire(now, s.cfg.LookupTime)
-	if ent, ok := s.ifam.lookup(uint64(npPage)); ok {
+	if ent, ok := s.ifam.Lookup(uint64(npPage)); ok {
 		s.stats.TranslationHits++
 		s.stats.ACMHits++ // coupled entry: ACM rides along (Figure 9's I-FAM series)
 		d := s.meta.Check(ent.fam, s.nodeID, want)
@@ -384,7 +390,7 @@ func (s *STU) TranslateAndVerify(now sim.Time, npPage addr.NPPage, want acm.Perm
 	t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
 	s.stats.ACMFetches++
 	ent := ifamEntry{fam: fp, e: s.meta.Entry(fp)}
-	s.ifam.insert(uint64(npPage), ent)
+	s.ifam.Insert(uint64(npPage), ent)
 	d = s.meta.Check(fp, s.nodeID, want)
 	if d.BitmapFetch {
 		t = s.famRead(t, s.layout.BitmapBlockAddr(fp.Huge(), s.nodeID), false)
@@ -417,7 +423,7 @@ func (s *STU) ACMHitRate() float64 {
 // InvalidateNodePage drops any coupled I-FAM entry for npPage (migration).
 func (s *STU) InvalidateNodePage(npPage addr.NPPage) {
 	if s.ifam != nil {
-		s.ifam.invalidate(uint64(npPage))
+		s.ifam.Invalidate(uint64(npPage))
 	}
 }
 
@@ -425,22 +431,22 @@ func (s *STU) InvalidateNodePage(npPage addr.NPPage) {
 func (s *STU) InvalidateACM(fp addr.FPage) {
 	switch s.cfg.Org {
 	case OrgDeACTW:
-		s.wcache.invalidate(uint64(fp) / s.cfg.pagesPerWay())
+		s.wcache.Invalidate(uint64(fp) / s.cfg.pagesPerWay())
 	case OrgDeACTN:
-		s.ncache.invalidate(n44(fp))
+		s.ncache.Invalidate(n44(fp))
 	}
 }
 
 // Flush empties all STU state (full shootdown).
 func (s *STU) Flush() {
 	if s.ifam != nil {
-		s.ifam.flush()
+		s.ifam.Flush()
 	}
 	if s.wcache != nil {
-		s.wcache.flush()
+		s.wcache.Flush()
 	}
 	if s.ncache != nil {
-		s.ncache.flush()
+		s.ncache.Flush()
 	}
 	s.ptw.Flush()
 }

@@ -286,6 +286,32 @@ func TestDeACTNDoublesEffectiveEntries(t *testing.T) {
 	}
 }
 
+// TestNonPowerOfTwoSTU builds and runs a 1000-entry, 8-way DeACT-N STU:
+// 125 sets (250 with pairs), indexed by modulo rather than mask.
+func TestNonPowerOfTwoSTU(t *testing.T) {
+	cfg := defaultCfg(OrgDeACTN)
+	cfg.Entries, cfg.Ways = 1000, 8
+	f := newFixture(t, cfg, 9)
+	var pages []addr.FPage
+	for i := 0; i < 200; i++ {
+		p, err := f.b.AllocatePage(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+	for round := 0; round < 2; round++ {
+		for _, p := range pages {
+			if _, d := f.s.VerifyMapped(0, p, acm.PermR); !d.Allowed {
+				t.Fatalf("own page %#x denied", p)
+			}
+		}
+	}
+	if st := f.s.Stats(); st.ACMMisses != 200 || st.ACMHits != 200 {
+		t.Fatalf("200 pages in a 2000-pair STU: hits=%d misses=%d, want 200/200", st.ACMHits, st.ACMMisses)
+	}
+}
+
 func TestPTWCacheShortensSecondWalk(t *testing.T) {
 	f := newFixture(t, defaultCfg(OrgDeACTN), 8)
 	for _, np := range []addr.NPPage{0x60000, 0x60001} {

@@ -18,6 +18,15 @@ type MMUConfig struct {
 	PTWEntries int
 }
 
+// Validate checks both TLB geometries: each must have a power-of-two set
+// count.
+func (c MMUConfig) Validate() error {
+	if err := checkGeometry("l1", c.L1Entries, c.L1Ways, true); err != nil {
+		return err
+	}
+	return checkGeometry("l2", c.L2Entries, c.L2Ways, true)
+}
+
 // NewMMU builds an MMU.
 func NewMMU(name string, cfg MMUConfig) (*MMU, error) {
 	l1, err := New(name+".l1tlb", cfg.L1Entries, cfg.L1Ways)

@@ -1,14 +1,14 @@
 package tlb
 
-// Snapshot state for TLBs, PTW caches and MMUs (core.System.Snapshot). The
+// Snapshot state for tables, PTW caches and MMUs (core.System.Snapshot). The
 // arrays here are small (tens to hundreds of entries), so the states copy
 // into plain slices reused across captures rather than going through
 // internal/arena.
 
-// State is a TLB's mutable state.
-type State struct {
+// TableState is a Table's mutable state.
+type TableState[V any] struct {
 	tags    []uint64
-	values  []uint64
+	values  []V
 	valid   []bool
 	stamps  []uint64
 	tick    uint64
@@ -17,8 +17,8 @@ type State struct {
 	flushes uint64
 }
 
-// CaptureState captures the TLB into st, reusing st's storage.
-func (t *TLB) CaptureState(st *State) {
+// CaptureState captures the table into st, reusing st's storage.
+func (t *Table[V]) CaptureState(st *TableState[V]) {
 	st.tags = append(st.tags[:0], t.tags...)
 	st.values = append(st.values[:0], t.values...)
 	st.valid = append(st.valid[:0], t.valid...)
@@ -27,9 +27,9 @@ func (t *TLB) CaptureState(st *State) {
 	st.hits, st.misses, st.flushes = t.hits, t.misses, t.flushes
 }
 
-// RestoreState rewinds the TLB to st, copying into the TLB's own arrays.
-// The TLB must have the geometry st was captured from.
-func (t *TLB) RestoreState(st *State) {
+// RestoreState rewinds the table to st, copying into the table's own
+// arrays. The table must have the geometry st was captured from.
+func (t *Table[V]) RestoreState(st *TableState[V]) {
 	if len(st.tags) != len(t.tags) {
 		panic("tlb: RestoreState geometry mismatch for " + t.name)
 	}
@@ -71,7 +71,7 @@ func (p *PTWCache) RestoreState(st *PTWCacheState) {
 
 // MMUState bundles the three structures of one MMU.
 type MMUState struct {
-	l1, l2 State
+	l1, l2 TableState[uint64]
 	ptw    PTWCacheState
 }
 

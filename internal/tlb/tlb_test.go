@@ -49,19 +49,54 @@ func TestLookupInsert(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	tl := MustNew("t", 2, 2) // 1 set, 2 ways
-	tl.Insert(1, 10)
-	tl.Insert(2, 20)
-	tl.Lookup(1) // 2 becomes LRU
-	tl.Insert(3, 30)
-	if _, ok := tl.Lookup(2); ok {
-		t.Fatal("LRU entry survived")
-	}
-	if _, ok := tl.Lookup(1); !ok {
-		t.Fatal("MRU entry evicted")
-	}
-	if _, ok := tl.Lookup(3); !ok {
-		t.Fatal("new entry missing")
+	for _, tc := range []struct {
+		name         string
+		entries, way int
+		pow2         bool
+	}{
+		{"1set_2way", 2, 2, true},
+		{"125set_8way", 1000, 8, false}, // modulo-indexed (the 1000-entry STU)
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl, err := NewTable[uint64]("t", tc.entries, tc.way)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New("t", tc.entries, tc.way); (err == nil) != tc.pow2 {
+				t.Fatalf("New power-of-two check: err=%v", err)
+			}
+			sets := uint64(tc.entries / tc.way)
+			// Keys j*sets all land in set 0; fill it, touch key 0 so key
+			// sets becomes LRU, then overflow the set by one.
+			for j := uint64(0); j < uint64(tc.way); j++ {
+				tl.Insert(j*sets, j)
+			}
+			tl.Lookup(0)
+			tl.Insert(uint64(tc.way)*sets, 99)
+			if _, ok := tl.Lookup(sets); ok {
+				t.Fatal("LRU entry survived")
+			}
+			if _, ok := tl.Lookup(0); !ok {
+				t.Fatal("MRU entry evicted")
+			}
+			if v, ok := tl.Lookup(uint64(tc.way) * sets); !ok || v != 99 {
+				t.Fatal("new entry missing")
+			}
+			if tc.pow2 {
+				return
+			}
+			// Modulo indexing: keys congruent mod 128 (a mask's view) but
+			// not mod 125 spread over distinct sets and all stay resident.
+			tl.Flush()
+			for j := uint64(0); j <= uint64(tc.way); j++ {
+				tl.Insert(j*128, j)
+			}
+			for j := uint64(0); j <= uint64(tc.way); j++ {
+				if _, ok := tl.Lookup(j * 128); !ok {
+					t.Fatalf("key %d evicted: sets indexed by mask, not modulo", j*128)
+				}
+			}
+		})
 	}
 }
 
