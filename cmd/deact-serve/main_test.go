@@ -294,6 +294,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"zero L1 cache ways", `{"Hierarchy":{"L1Ways":0}}`},
 		{"zero L1 TLB entries", `{"MMU":{"L1Entries":0}}`},
 		{"STU ways above entries", `{"STUEntries":4,"STUWays":8}`},
+		{"zero translator outstanding list", `{"Scheme":"deact-n","Outstanding":0}`},
+		{"translation cache not line-sized", `{"Scheme":"deact-n","TranslationCacheBytes":100}`},
+		{"translation cache above DRAM", `{"Scheme":"deact-n","TranslationCacheBytes":1099511627776}`},
 		{"trailing garbage", `{"Seed":1} {"Seed":2}`},
 		{"not json", `seed=1`},
 	} {

@@ -72,12 +72,14 @@
 // walk minus MeasureInstructions, the only field that cannot shape warmup
 // state). With experiments.Options.ShareWarmup (cmds: -share-warmup), the
 // Runner groups distinct runs by warmup fingerprint: the first run of each
-// group simulates the shared prefix once and publishes a snapshot from the
-// boundary (while its own measured phase continues), every other run waits
-// before taking a worker slot and forks from the snapshot, and a bounded
-// LRU of snapshots recycles its storage through a dedicated SystemPool.
-// Forked runs are bit-identical to cold runs (the randomized oracle test
-// and a second golden-report CI pass with -share-warmup hold this);
+// group simulates the shared prefix once and, if other runs of the group
+// are pending, publishes a snapshot from the boundary (while its own
+// measured phase continues); every other run waits before taking a worker
+// slot and forks from the snapshot (RunInfo.Forked), and a bounded LRU of
+// snapshots recycles its storage through a dedicated SystemPool. A run
+// alone in its group captures nothing. Forked runs are bit-identical to
+// cold runs (TestForkedRunMatchesCold and TestSharedWarmupByteIdentical
+// hold this);
 // BenchmarkSnapshotFork measures the per-point saving — the measured phase
 // alone instead of warmup+measure.
 //
@@ -124,8 +126,9 @@
 // median time/op or any allocs/op growth (cmd/benchgate; benchstat
 // renders the human-readable delta), and a golden-report determinism job
 // that diffs a short-scale cmd/deact-report run against
-// testdata/golden-report-short.md — twice: once cold and once with
-// -share-warmup, so snapshot forking is held byte-identical on every push.
+// testdata/golden-report-short.md — cold, with -share-warmup (enabling
+// sharing must not change a byte) and through a cold and a warm result
+// store.
 //
 // README.md is the quickstart (the three cmds, the local smoke tier, the
 // golden-file regeneration recipe); ARCHITECTURE.md maps the paper's

@@ -318,10 +318,16 @@ func (c Config) Validate() error {
 	for _, err := range []error{
 		c.Layout.Validate(), c.fabricConfig().Validate(), c.DRAMCfg.Validate(), c.FAMCfg.Validate(),
 		c.hierarchyConfig().Validate(), c.MMU.Validate(), c.stuConfig().Validate(),
+		c.translatorConfig().Validate(),
 	} {
 		if err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
+	}
+	// DeACT nodes carve the translation cache out of the top of local DRAM.
+	if c.TranslationCacheBytes > c.Layout.DRAMSize {
+		return fmt.Errorf("%w: TranslationCacheBytes %d exceeds Layout.DRAMSize %d (the cache lives in local DRAM)",
+			ErrInvalidConfig, c.TranslationCacheBytes, c.Layout.DRAMSize)
 	}
 	return nil
 }
@@ -346,6 +352,17 @@ func (c Config) stuConfig() stu.Config {
 		ACMBits: c.Layout.ACMBits, PairsPerWay: c.PairsPerWay,
 		PTWCacheEntries: c.MMU.PTWEntries, LookupTime: c.STULookup,
 		TrustReads: c.TrustReads,
+	}
+}
+
+// translatorConfig derives the per-node FAM translator configuration (the
+// node places its CacheBase at the top of local DRAM). Like the STU's, it is
+// validated for every scheme, although only DeACT builds a translator.
+func (c Config) translatorConfig() translator.Config {
+	return translator.Config{
+		CacheBytes:   c.TranslationCacheBytes,
+		Outstanding:  c.Outstanding,
+		TagMatchTime: c.CycleTime,
 	}
 }
 
@@ -398,15 +415,11 @@ func (c Config) nodeConfig(id uint16) node.Config {
 		LocalEveryN: c.LocalEveryN,
 		CycleTime:   c.CycleTime,
 		L1Lat:       c.L1Lat, L2Lat: c.L2Lat, L3Lat: c.L3Lat, TLBL2Lat: c.TLBL2Lat,
-		Hierarchy: c.hierarchyConfig(),
-		MMU:       c.MMU,
-		DRAM:      c.DRAMCfg,
-		STU:       c.stuConfig(),
-		Translator: translator.Config{
-			CacheBytes:   c.TranslationCacheBytes,
-			Outstanding:  c.Outstanding,
-			TagMatchTime: c.CycleTime,
-		},
+		Hierarchy:  c.hierarchyConfig(),
+		MMU:        c.MMU,
+		DRAM:       c.DRAMCfg,
+		STU:        c.stuConfig(),
+		Translator: c.translatorConfig(),
 		Prefetch: node.PrefetchConfig{
 			Streams:   c.PrefetchStreams,
 			Degree:    c.PrefetchDegree,

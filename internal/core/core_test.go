@@ -64,6 +64,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.MMU.L2Entries, c.MMU.L2Ways = 24, 8 },
 		func(c *Config) { c.STUEntries, c.STUWays = 3, 2 },
 		func(c *Config) { c.STUEntries, c.STUWays = 4, 8 },
+		func(c *Config) { c.Outstanding = 0 },
+		func(c *Config) { c.TranslationCacheBytes = 100 },
+		func(c *Config) { c.TranslationCacheBytes = c.Layout.DRAMSize + 64 },
 	}
 	for i, m := range mutations {
 		cfg := DefaultConfig()

@@ -55,12 +55,15 @@ type Options struct {
 	OnRunDone func(RunInfo)
 	// ShareWarmup groups distinct runs by core.Config.WarmupFingerprint():
 	// the first run of each group simulates the shared warmup prefix once
-	// and snapshots the warmup/measure boundary; every other run in the
-	// group forks its measured phase from that snapshot instead of
-	// re-simulating the warmup. Forked runs are bit-identical to cold runs,
-	// so results — and the byte-identity invariant across Parallelism
-	// settings — are unchanged; only wall-clock time drops when sweep
-	// points share a warmup prefix (e.g. a MeasureInstructions sweep).
+	// and, if other runs of the group are submitted and unfinished when it
+	// reaches the warmup/measure boundary, snapshots it there; those runs
+	// fork their measured phases from the snapshot instead of
+	// re-simulating the warmup. A run alone in its group captures nothing
+	// and runs cold.
+	// Forked runs are bit-identical to cold runs, so results — and the
+	// byte-identity invariant across Parallelism settings — are unchanged;
+	// only wall-clock time drops when sweep points share a warmup prefix
+	// (e.g. a MeasureInstructions sweep).
 	ShareWarmup bool
 	// Capacity appends the multi-tenant capacity-planning section (the
 	// registered "capacity" sweep) to Report's output. It is additive: every line the
@@ -109,6 +112,10 @@ type RunInfo struct {
 	// Cached reports that the result was served from Options.Store
 	// without simulating (it still counts toward Completed).
 	Cached bool
+	// Forked reports that the run restored a shared warmup snapshot
+	// (Options.ShareWarmup) and simulated only its measured phase. Its
+	// result is bit-identical to a cold run's.
+	Forked bool
 	// Completed and Submitted are the runner-wide counters at the moment
 	// this run finished: distinct simulations done vs registered so far.
 	Completed, Submitted int
@@ -142,11 +149,15 @@ func (o Options) parallelism() int {
 // only once every attached waiter has detached, so one caller backing out
 // cannot abort a simulation another caller still wants.
 type runEntry struct {
-	cfg    core.Config
-	fp     string
+	cfg core.Config
+	fp  string
+	// wfp is cfg's warmup fingerprint when the run takes part in warmup
+	// sharing (Options.ShareWarmup with a warmup phase), "" otherwise.
+	wfp    string
 	done   chan struct{} // closed when res/err are valid
 	res    core.Result
 	err    error
+	ctx    context.Context // the computation's own context
 	cancel context.CancelFunc
 
 	// Guarded by Runner.mu.
@@ -177,6 +188,10 @@ type Runner struct {
 	runs      map[string]*runEntry
 	submitted int
 	completed int
+	// warmPending counts registered, unfinished entries per warmup
+	// fingerprint: a group leader captures at its boundary only if another
+	// run of its group is pending (see publishSnapshot).
+	warmPending map[string]int
 
 	cbMu sync.Mutex // serializes OnRunDone callbacks
 
@@ -199,11 +214,13 @@ type Runner struct {
 const maxWarmSnapshots = 8
 
 // warmGroup is one warmup-fingerprint group. The first run to attach is the
-// leader: it simulates the warmup and publishes a snapshot at the
-// warmup/measure boundary (closing ready), while its own measured phase
-// continues. Followers wait on ready — before acquiring a worker slot, so a
-// parked follower can never starve its leader out of the pool — and fork
-// from snap. A nil snap after ready means the leader failed before the
+// leader: it simulates the warmup and, at the warmup/measure boundary,
+// publishes (closing ready) while its own measured phase continues. It
+// captures a snapshot only if another run of the group is pending by
+// then; alone, it retires the group without one (see publishSnapshot).
+// Followers wait on ready — before acquiring a worker slot, so a parked
+// follower can never starve its leader out of the pool — and fork from
+// snap. A nil snap after ready means the leader failed before the
 // boundary; followers fall back to cold runs.
 type warmGroup struct {
 	ready chan struct{}
@@ -228,6 +245,8 @@ func New(opts Options) *Runner {
 		sem:  make(chan *core.SystemPool, par),
 		runs: map[string]*runEntry{},
 		warm: map[string]*warmGroup{},
+
+		warmPending: map[string]int{},
 	}
 	if opts.ShareWarmup {
 		r.snapPool = core.NewSystemPool()
@@ -255,28 +274,43 @@ type Future struct {
 // before a slot frees up, and an admitted run observes cancellation inside
 // core.Run's event loop once the last waiter detaches.
 func (r *Runner) Submit(ctx context.Context, cfg core.Config) *Future {
+	f, fresh := r.register(ctx, cfg)
+	if fresh {
+		go r.execute(f.e)
+	}
+	return f
+}
+
+// register attaches a future to cfg's entry, creating the entry if no live
+// one exists. fresh reports a new entry, which the caller must start with
+// go r.execute — Submit at once, RunAll once its whole batch is registered.
+func (r *Runner) register(ctx context.Context, cfg core.Config) (f *Future, fresh bool) {
 	fp := cfg.Fingerprint()
+	var wfp string
+	if r.opts.ShareWarmup && cfg.WarmupInstructions > 0 {
+		wfp = cfg.WarmupFingerprint()
+	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	// Attach to a live entry — or to a doomed one that nevertheless
 	// finished successfully before its cancel landed (done is closed and
 	// the cached result is valid, so re-simulating would be waste).
 	if e, ok := r.runs[fp]; ok && (!e.doomed || (e.finished && e.err == nil)) {
 		e.waiters++
-		r.mu.Unlock()
-		return &Future{r: r, e: e, ctx: ctx}
+		return &Future{r: r, e: e, ctx: ctx}, false
 	}
 	// Either no entry, or a doomed one whose last waiter just detached:
 	// register a fresh entry in its place (the doomed run's finish only
 	// evicts the slot if it still owns it).
 	ectx, cancel := context.WithCancel(context.Background())
-	e := &runEntry{cfg: cfg, fp: fp, done: make(chan struct{}), cancel: cancel, waiters: 1}
+	e := &runEntry{cfg: cfg, fp: fp, wfp: wfp, done: make(chan struct{}), ctx: ectx, cancel: cancel, waiters: 1}
 	r.runs[fp] = e
 	r.submitted++
-	r.mu.Unlock()
-
+	if wfp != "" {
+		r.warmPending[wfp]++
+	}
 	r.wg.Add(1)
-	go r.execute(ectx, e)
-	return &Future{r: r, e: e, ctx: ctx}
+	return &Future{r: r, e: e, ctx: ctx}, true
 }
 
 // Run submits cfg and waits for its result — the one-shot convenience
@@ -328,10 +362,10 @@ func (f *Future) release() {
 
 // execute runs one entry's simulation under the entry context: slot
 // acquisition first (admission stops on cancellation), then core.Run.
-func (r *Runner) execute(ectx context.Context, e *runEntry) {
+func (r *Runner) execute(e *runEntry) {
 	defer r.wg.Done()
-	res, cached, err := r.compute(ectx, e.cfg)
-	r.finish(e, res, cached, err)
+	res, cached, forked, err := r.compute(e.ctx, e.cfg, e.wfp)
+	r.finish(e, res, cached, forked, err)
 }
 
 // compute acquires a worker slot and runs the simulation. A panic anywhere
@@ -341,8 +375,10 @@ func (r *Runner) execute(ectx context.Context, e *runEntry) {
 //
 // With a Store configured, the persisted result — when present — is
 // returned before any of that machinery engages: no warmup group, no
-// worker slot, no simulation. cached reports that path.
-func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result, cached bool, err error) {
+// worker slot, no simulation. cached reports that path; forked reports a
+// run that restored its group's warmup snapshot. key is the run's warmup
+// fingerprint, "" when it does not share warmup.
+func (r *Runner) compute(ectx context.Context, cfg core.Config, key string) (res core.Result, cached, forked bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: %s under %v: panic: %v", cfg.Benchmark, cfg.Scheme, p)
@@ -350,18 +386,17 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 	}()
 	if r.opts.Store != nil {
 		if hit, ok := r.opts.Store.Get(cfg); ok {
-			return hit, true, nil
+			return hit, true, false, nil
 		}
 	}
 	var opts []core.RunOption
-	if r.opts.ShareWarmup && cfg.WarmupInstructions > 0 {
-		key := cfg.WarmupFingerprint()
+	if key != "" {
 		g, lead := r.attachWarmGroup(key)
 		defer r.detachWarmGroup(key, g)
 		if lead {
 			published := false
 			opts = append(opts, core.WithWarmupHook(func(s *core.System) {
-				r.publishSnapshot(g, s)
+				r.publishSnapshot(key, g, s)
 				published = true
 			}))
 			// If the leader never reaches the boundary (construction error,
@@ -369,7 +404,7 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 			// waiting followers fall back to cold runs instead of parking.
 			defer func() {
 				if !published {
-					r.publishSnapshot(g, nil)
+					r.publishSnapshot(key, g, nil)
 				}
 			}()
 		} else {
@@ -379,10 +414,11 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 			select {
 			case <-g.ready:
 			case <-ectx.Done():
-				return core.Result{}, false, ectx.Err()
+				return core.Result{}, false, false, ectx.Err()
 			}
 			if g.snap != nil {
 				opts = append(opts, core.WithSnapshot(g.snap))
+				forked = true
 			}
 		}
 	}
@@ -390,7 +426,7 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 	select {
 	case pool = <-r.sem: // acquire a worker slot (and its memory pool)
 	case <-ectx.Done():
-		return core.Result{}, false, ectx.Err()
+		return core.Result{}, false, forked, ectx.Err()
 	}
 	if pool == nil {
 		pool = core.NewSystemPool()
@@ -405,7 +441,7 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 		// nothing else, and must not fail a simulation that succeeded.
 		_ = r.opts.Store.Put(cfg, res)
 	}
-	return res, false, err
+	return res, false, forked, err
 }
 
 // attachWarmGroup joins (or founds) the warmup group for key. The founder
@@ -447,21 +483,38 @@ func (r *Runner) detachWarmGroup(key string, g *warmGroup) {
 	r.evictWarmLocked()
 }
 
-// publishSnapshot captures s (nil: leader failure) into the group and
-// unblocks its followers. Capture draws storage from the dedicated snapshot
-// pool under warmMu; the published snapshot is read-only from here on, so
-// followers fork from it without holding any lock.
-func (r *Runner) publishSnapshot(g *warmGroup, s *core.System) {
+// publishSnapshot ends the leader's claim on the warmup boundary and
+// unblocks any followers. s is the system at the boundary, or nil when the
+// leader failed before reaching it. The snapshot is captured only if
+// another run of the group can fork from it: one is registered and
+// unfinished (warmPending > 1; RunAll registers a whole batch before
+// starting any of it, so a batch's grouping does not depend on goroutine
+// timing), or attached (refs > 1, which also covers a run registered
+// after pending was read). A leader alone retires the group instead:
+// it leaves the map, so a later arrival with the same warmup fingerprint
+// founds a fresh group and leads it. A fork is bit-identical to a cold
+// run, so skipping the capture changes cost, never results. Capture draws
+// storage from the dedicated snapshot pool under warmMu; the published
+// snapshot is read-only from here on, so followers fork from it without
+// holding any lock.
+func (r *Runner) publishSnapshot(key string, g *warmGroup, s *core.System) {
 	if s != nil {
+		r.mu.Lock()
+		pending := r.warmPending[key]
+		r.mu.Unlock()
 		r.warmMu.Lock()
-		sn := &core.Snapshot{}
-		if n := len(r.freeSnaps); n > 0 {
-			sn = r.freeSnaps[n-1]
-			r.freeSnaps = r.freeSnaps[:n-1]
+		if pending > 1 || g.refs > 1 {
+			sn := &core.Snapshot{}
+			if n := len(r.freeSnaps); n > 0 {
+				sn = r.freeSnaps[n-1]
+				r.freeSnaps = r.freeSnaps[:n-1]
+			}
+			s.SnapshotInto(sn, r.snapPool)
+			g.snap = sn
+			r.evictWarmLocked()
+		} else if r.warm[key] == g {
+			delete(r.warm, key)
 		}
-		s.SnapshotInto(sn, r.snapPool)
-		g.snap = sn
-		r.evictWarmLocked()
 		r.warmMu.Unlock()
 	}
 	close(g.ready)
@@ -501,12 +554,17 @@ func (r *Runner) evictWarmLocked() {
 // (it nests outside r.mu and is touched nowhere else), so two
 // concurrently finishing runs deliver their RunInfos in counter order —
 // the progress line can never count backwards.
-func (r *Runner) finish(e *runEntry, res core.Result, cached bool, err error) {
+func (r *Runner) finish(e *runEntry, res core.Result, cached, forked bool, err error) {
 	cancelled := isCancellation(err)
 	r.cbMu.Lock()
 	r.mu.Lock()
 	e.res, e.err = res, err
 	e.finished = true
+	if e.wfp != "" {
+		if r.warmPending[e.wfp]--; r.warmPending[e.wfp] == 0 {
+			delete(r.warmPending, e.wfp)
+		}
+	}
 	if cancelled {
 		// A doomed entry may already have been replaced by a fresh
 		// submission; evict the slot only if this run still owns it.
@@ -517,7 +575,7 @@ func (r *Runner) finish(e *runEntry, res core.Result, cached bool, err error) {
 	} else {
 		r.completed++
 	}
-	info := RunInfo{Config: e.cfg, Fingerprint: e.fp, Err: err, Cached: cached,
+	info := RunInfo{Config: e.cfg, Fingerprint: e.fp, Err: err, Cached: cached, Forked: forked,
 		Completed: r.completed, Submitted: r.submitted}
 	cb := r.opts.OnRunDone
 	r.mu.Unlock()

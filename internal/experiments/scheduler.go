@@ -14,10 +14,22 @@ import (
 // execution interleaving. On cancellation every future is still waited
 // (and thereby detached), so the worker pool winds down instead of running
 // the rest of the batch in the background.
+//
+// The whole batch is registered before any of it starts, so under
+// ShareWarmup a group leader already counts every batch member sharing its
+// warmup when it decides whether to capture a snapshot.
 func (r *Runner) RunAll(ctx context.Context, cfgs []core.Config) ([]core.Result, error) {
 	futs := make([]*Future, len(cfgs))
+	var fresh []*runEntry
 	for i, cfg := range cfgs {
-		futs[i] = r.Submit(ctx, cfg)
+		f, isNew := r.register(ctx, cfg)
+		futs[i] = f
+		if isNew {
+			fresh = append(fresh, f.e)
+		}
+	}
+	for _, e := range fresh {
+		go r.execute(e)
 	}
 	results := make([]core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))

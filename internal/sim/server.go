@@ -19,14 +19,17 @@ type Clock interface {
 // would queue every other requester behind the last of those bookings even
 // though the link is idle in between, serializing the whole machine.
 //
-// The representation is batched for the common case: a single tail time
-// serves in-order arrivals in O(1), and only out-of-order arrivals (a
-// request computed by an access chain that started earlier than another
-// chain's bookings) consult a small calendar of idle gaps before the tail.
-// Arrivals at the memory-device banks, fabric links and STU ports are
-// overwhelmingly tail-ordered, so the gap calendar stays near empty and
-// Acquire is a compare and an add. (The test-only Resource stores the busy
-// intervals instead and serves as this type's oracle.)
+// A single tail time serves in-order arrivals in O(1); out-of-order
+// arrivals (a request computed by an access chain that started earlier
+// than another chain's bookings) consult a calendar of idle gaps before
+// the tail. Out-of-order arrivals are common, not rare: on the
+// translation-heavy mix (sssp/canl/mcf under I-FAM and DeACT-N, 4
+// in-order cores) 55–58% of Acquire calls take that path. At such a call
+// the calendar typically holds ~31 gaps that already closed before the
+// engine's current time (retirable, not yet pruned) ahead of ~7–10 open
+// ones, of which ~4 end after the arrival; the binary search below skips
+// the closed prefix. (The test-only Resource stores the busy intervals
+// instead and serves as this type's oracle.)
 //
 // A Server bound to a Clock retires gaps that closed at or before the
 // engine's current time — exact pruning, since no future arrival can
