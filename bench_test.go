@@ -76,31 +76,20 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkFigures regenerates each per-benchmark figure and every
+// BenchmarkFigures regenerates each per-benchmark paper grid and every
 // registered sweep, one sub-benchmark each.
 func BenchmarkFigures(b *testing.B) {
-	figures := []struct {
-		name string
-		gen  func(*experiments.Runner, context.Context) (stats.Table, error)
-	}{
-		{"TableIII", (*experiments.Runner).TableIII},
-		{"Figure3", (*experiments.Runner).Figure3},
-		{"Figure4", (*experiments.Runner).Figure4},
-		{"Figure9", (*experiments.Runner).Figure9},
-		{"Figure10", (*experiments.Runner).Figure10},
-		{"Figure11", (*experiments.Runner).Figure11},
-		{"Figure12", (*experiments.Runner).Figure12},
-	}
-	for _, f := range figures {
-		b.Run(f.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := f.gen(experiments.New(benchOptions()), context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportSeries(b, t)
+	run := func(b *testing.B, name string, o experiments.Options) {
+		for i := 0; i < b.N; i++ {
+			t, err := experiments.New(o).RunSweep(context.Background(), name)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			reportSeries(b, t)
+		}
+	}
+	for _, name := range []string{"TableIII", "Figure3", "Figure4", "Figure9", "Figure10", "Figure11", "Figure12"} {
+		b.Run(name, func(b *testing.B) { run(b, name, benchOptions()) })
 	}
 	for _, name := range experiments.SweepNames() {
 		b.Run("sweep="+name, func(b *testing.B) {
@@ -108,13 +97,7 @@ func BenchmarkFigures(b *testing.B) {
 			if name == "nodes" && !testing.Short() {
 				o.Warmup, o.Measure = 15_000, 15_000 // eight-node points are the costliest
 			}
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.New(o).RunSweep(context.Background(), name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportSeries(b, t)
-			}
+			run(b, name, o)
 		})
 	}
 }

@@ -21,8 +21,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,23 +38,49 @@ import (
 )
 
 func main() {
+	// SIGINT/SIGTERM cancel cooperatively: the event loop checks the
+	// context at a coarse simulated-time stride and the run exits nonzero.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deact-sim:", err)
+		os.Exit(exitCode(err))
+	}
+}
+
+// usageError is a command-line mistake: it exits 2, a failed run exits 1.
+type usageError struct{ error }
+
+// exitCode maps run's error to the process exit status.
+func exitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
+}
+
+// run simulates the configured run and prints its metrics to stdout; the
+// trace-written note goes to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("deact-sim", flag.ExitOnError)
 	var (
-		schemeFlag = flag.String("scheme", "deact-n", "virtual-memory scheme: e-fam, i-fam, deact-w, deact-n")
-		bench      = flag.String("bench", "mcf", "benchmark name ("+strings.Join(workload.Names(), ", ")+")")
-		nodes      = flag.Int("nodes", 1, "compute nodes sharing the fabric")
-		stuSize    = flag.Int("stu", 1024, "STU cache size in entries, not bytes (Figure 13 sweeps 256-8192)")
-		fabricNS   = flag.Uint64("fabric-ns", 500, "fabric one-way propagation latency in nanoseconds, not cycles (Figure 15 sweeps 100-6000)")
-		verbose    = flag.Bool("v", false, "print per-node counters")
-		traceOut   = flag.String("trace-out", "", "record the run's access streams to this trace file")
-		traceIn    = flag.String("trace-in", "", "replay the workload from this trace file instead of synthesizing (-bench is taken from the trace)")
+		schemeFlag = fs.String("scheme", "deact-n", "virtual-memory scheme: e-fam, i-fam, deact-w, deact-n")
+		bench      = fs.String("bench", "mcf", "benchmark name ("+strings.Join(workload.Names(), ", ")+")")
+		nodes      = fs.Int("nodes", 1, "compute nodes sharing the fabric")
+		stuSize    = fs.Int("stu", 1024, "STU cache size in entries, not bytes (Figure 13 sweeps 256-8192)")
+		fabricNS   = fs.Uint64("fabric-ns", 500, "fabric one-way propagation latency in nanoseconds, not cycles (Figure 15 sweeps 100-6000)")
+		verbose    = fs.Bool("v", false, "print per-node counters")
+		traceOut   = fs.String("trace-out", "", "record the run's access streams to this trace file")
+		traceIn    = fs.String("trace-in", "", "replay the workload from this trace file instead of synthesizing (-bench is taken from the trace)")
 	)
-	scale := cli.ScaleFlags(flag.CommandLine, 80_000, 60_000, 4)
-	flag.Parse()
+	scale := cli.ScaleFlags(fs, 80_000, 60_000, 4)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	scheme, err := core.ParseScheme(*schemeFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "deact-sim:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	cfg := core.DefaultConfig()
 	cfg.Scheme = scheme
@@ -69,13 +97,11 @@ func main() {
 	var rec *trace.Recorder
 	switch {
 	case *traceIn != "" && *traceOut != "":
-		fmt.Fprintln(os.Stderr, "deact-sim: -trace-in and -trace-out are mutually exclusive")
-		os.Exit(2)
+		return usageError{errors.New("-trace-in and -trace-out are mutually exclusive")}
 	case *traceIn != "":
 		t, err := trace.Load(*traceIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "deact-sim:", err)
-			os.Exit(1)
+			return err
 		}
 		// The trace dictates the workload identity; scheme and machine
 		// shape stay free so one recording drives many what-if replays.
@@ -87,44 +113,37 @@ func main() {
 		opts = append(opts, core.WithTraceRecorder(rec))
 	}
 
-	// SIGINT/SIGTERM cancel cooperatively: the event loop checks the
-	// context at a coarse simulated-time stride and the run exits nonzero.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	r, err := core.Run(ctx, cfg, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "deact-sim:", err)
-		stop()
-		os.Exit(1)
+		return err
 	}
 	if rec != nil {
 		if err := rec.Save(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "deact-sim:", err)
-			stop()
-			os.Exit(1)
+			return err
 		}
 		// Stderr, so recorded and replayed runs stay stdout-identical.
-		fmt.Fprintf(os.Stderr, "deact-sim: wrote trace %s (%d streams)\n", *traceOut, rec.Streams())
+		fmt.Fprintf(stderr, "deact-sim: wrote trace %s (%d streams)\n", *traceOut, rec.Streams())
 	}
-	fmt.Println(r)
-	fmt.Printf("  duration           %.3f ms simulated\n", float64(r.Duration)/float64(sim.Millisecond))
-	fmt.Printf("  instructions       %d (%d memory ops)\n", r.Instructions, r.MemOps)
-	fmt.Printf("  FAM requests       %d AT + %d data (AT share %.1f%%)\n", r.FAMAT, r.FAMData, r.ATFraction*100)
-	fmt.Printf("  FAM device         %d reads, %d writes\n", r.FAMReads, r.FAMWrites)
-	fmt.Printf("  fabric packets     %d\n", r.FabricPackets)
-	fmt.Printf("  translation hit    %.2f%%\n", r.TranslationHitRate*100)
-	fmt.Printf("  ACM hit            %.2f%%\n", r.ACMHitRate*100)
+	fmt.Fprintln(stdout, r)
+	fmt.Fprintf(stdout, "  duration           %.3f ms simulated\n", float64(r.Duration)/float64(sim.Millisecond))
+	fmt.Fprintf(stdout, "  instructions       %d (%d memory ops)\n", r.Instructions, r.MemOps)
+	fmt.Fprintf(stdout, "  FAM requests       %d AT + %d data (AT share %.1f%%)\n", r.FAMAT, r.FAMData, r.ATFraction*100)
+	fmt.Fprintf(stdout, "  FAM device         %d reads, %d writes\n", r.FAMReads, r.FAMWrites)
+	fmt.Fprintf(stdout, "  fabric packets     %d\n", r.FabricPackets)
+	fmt.Fprintf(stdout, "  translation hit    %.2f%%\n", r.TranslationHitRate*100)
+	fmt.Fprintf(stdout, "  ACM hit            %.2f%%\n", r.ACMHitRate*100)
 	if *verbose {
 		for i, ns := range r.NodeStats {
-			fmt.Printf("  node %d: walks=%d faults=%d dram=%d wb=%d denied=%d\n",
+			fmt.Fprintf(stdout, "  node %d: walks=%d faults=%d dram=%d wb=%d denied=%d\n",
 				i+1, ns.NodePTWalks, ns.OSFaults, ns.DRAMData, ns.Writebacks, ns.Denied)
 			st := r.STUStats[i]
-			fmt.Printf("    stu: xlate %d/%d acm %d/%d ptw-steps=%d bitmap=%d\n",
+			fmt.Fprintf(stdout, "    stu: xlate %d/%d acm %d/%d ptw-steps=%d bitmap=%d\n",
 				st.TranslationHits, st.TranslationHits+st.TranslationMisses,
 				st.ACMHits, st.ACMHits+st.ACMMisses, st.PTWSteps, st.BitmapFetches)
 			tr := r.TranslatorStats[i]
-			fmt.Printf("    translator: hit %d/%d dram r/w %d/%d\n",
+			fmt.Fprintf(stdout, "    translator: hit %d/%d dram r/w %d/%d\n",
 				tr.Hits, tr.Hits+tr.Misses, tr.DRAMReads, tr.DRAMWrites)
 		}
 	}
+	return nil
 }

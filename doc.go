@@ -8,7 +8,8 @@
 // node), the assembled system and its four virtual-memory schemes (core),
 // the synthetic Table III workload suite (workload), and the Runner that
 // regenerates every table and figure of the paper's evaluation
-// (experiments).
+// (experiments), each one entry of a single registry of declarative grids
+// whose claim checks read the finished grid.
 //
 // Run orchestration is context-aware and identity-safe.
 // core.Run(ctx, cfg, opts...) simulates one fully-built core.Config and
@@ -100,7 +101,7 @@
 // Entry points:
 //
 //   - cmd/deact-sim     — run one benchmark under one scheme (SIGINT
-//     cancels cooperatively)
+//     cancels cooperatively; -trace-out/-trace-in record and replay)
 //   - cmd/deact-sweep   — run one sensitivity sweep (§V-D, -parallelism N,
 //     -share-warmup, -cpuprofile/-memprofile, live progress on stderr)
 //   - cmd/deact-report  — regenerate EXPERIMENTS.md (all tables/figures,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestTableIAndII(t *testing.T) {
 
 func TestTableIII(t *testing.T) {
 	r := New(tinyOptions())
-	tbl, err := r.TableIII(context.Background())
+	tbl, err := r.RunSweep(context.Background(), "TableIII")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTableIII(t *testing.T) {
 
 func TestFigure3SlowdownAboveOne(t *testing.T) {
 	r := New(tinyOptions())
-	tbl, err := r.Figure3(context.Background())
+	tbl, err := r.RunSweep(context.Background(), "Figure3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,56 +60,56 @@ func TestFigure3SlowdownAboveOne(t *testing.T) {
 	}
 }
 
+// requirePass runs the named paper grids on r and fails the test unless
+// every check passes.
+func requirePass(t *testing.T, r *Runner, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		_, verdicts, err := r.sweepSection(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(verdicts) != 1 || !verdicts[0].ok {
+			t.Fatalf("%s: %+v", name, verdicts)
+		}
+	}
+}
+
 func TestFigure12OrderingOnSensitiveSet(t *testing.T) {
-	ctx := context.Background()
-	r := New(tinyOptions())
-	if _, err := r.Figure12(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ok, detail, err := checkFig12Ordering(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("figure 12 ordering violated: %s", detail)
-	}
+	requirePass(t, New(tinyOptions()), "Figure12")
 }
 
 func TestFigure4And11Checks(t *testing.T) {
-	ctx := context.Background()
-	r := New(tinyOptions())
-	ok, detail, err := checkFig4Blowup(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("fig4: %s", detail)
-	}
-	ok, detail, err = checkFig11Monotone(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("fig11: %s", detail)
-	}
+	requirePass(t, New(tinyOptions()), "Figure4", "Figure11")
 }
 
 func TestFigure9And10Checks(t *testing.T) {
-	ctx := context.Background()
-	r := New(tinyOptions())
-	ok, detail, err := checkFig9NBeatsW(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("fig9: %s", detail)
-	}
-	ok, detail, err = checkFig10DeACTHigh(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("fig10: %s", detail)
+	requirePass(t, New(tinyOptions()), "Figure9", "Figure10")
+}
+
+// TestPaperChecksFailOnEmptyClass: a check comparing a sensitivity class
+// the benchmark set lacks fails and names the empty class, instead of
+// passing against a mean over nothing.
+func TestPaperChecksFailOnEmptyClass(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		grids []string
+		want  string
+	}{
+		{"sp", []string{"Figure3", "Figure9", "Figure10", "Figure12"}, noSensitive},
+		{"canl", []string{"Figure3"}, noInsensitive},
+	} {
+		r := New(Options{Warmup: 2_000, Measure: 2_000, Cores: 1, Seed: 42,
+			Benchmarks: []string{tc.bench}, Parallelism: 2})
+		for _, name := range tc.grids {
+			_, verdicts, err := r.sweepSection(context.Background(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(verdicts) != 1 || verdicts[0].ok || verdicts[0].detail != tc.want {
+				t.Errorf("%s on {%s}: %+v, want one FAIL with detail %q", name, tc.bench, verdicts, tc.want)
+			}
+		}
 	}
 }
 
@@ -168,12 +169,21 @@ func TestAllListsEveryExperiment(t *testing.T) {
 	ids := map[string]bool{}
 	for _, nt := range All() {
 		ids[nt.id] = true
+		if _, err := tinyOptions().sweep(nt.sweep); err != nil {
+			t.Errorf("experiment %q: %v", nt.id, err)
+		}
 	}
 	for _, want := range []string{"Table III", "Figure 3", "Figure 4", "Figure 9", "Figure 10",
 		"Figure 11", "Figure 12", "Figure 13", "Figure 14", "Figure 15", "Figure 16",
 		"§V-D1 associativity", "§V-D2 pairs/way"} {
 		if !ids[want] {
 			t.Errorf("experiment %q missing from All()", want)
+		}
+	}
+	// The paper grids stay out of deact-sweep's -sweep names.
+	for _, s := range paperSweeps() {
+		if slices.Contains(SweepNames(), s.name) {
+			t.Errorf("paper grid %q listed by SweepNames", s.name)
 		}
 	}
 }

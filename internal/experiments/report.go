@@ -8,23 +8,11 @@ import (
 	"deact/internal/stats"
 )
 
-// expectation records the paper's qualitative claim for one experiment so
-// the report can state pass/fail on shape, not absolute numbers.
-type expectation struct {
-	id    string
-	claim string
-	check func(ctx context.Context, r *Runner) (bool, string, error)
-}
-
-// namedTable pairs an experiment id with its generator: gen and its
-// expectations, or a registered sweep, whose table and check come from the
-// sweep.
+// namedTable is one report section: an experiment id, what it
+// reproduces, and the registered sweep or paper grid that makes its table
+// and checks its claim.
 type namedTable struct {
-	id       string
-	paperRef string
-	gen      func(r *Runner, ctx context.Context) (stats.Table, error)
-	sweep    string
-	expect   []expectation
+	id, paperRef, sweep string
 }
 
 // verdict is one evaluated claim, rendered as a report bullet.
@@ -41,27 +29,8 @@ func (v verdict) String() string {
 	return fmt.Sprintf("- **%s** — %s: %s (%s)\n", mark, v.id, v.claim, v.detail)
 }
 
-// run generates the experiment's table and evaluates its claims.
-func (nt namedTable) run(ctx context.Context, r *Runner) (stats.Table, []verdict, error) {
-	if nt.sweep != "" {
-		return r.sweepSection(ctx, nt.sweep)
-	}
-	tbl, err := nt.gen(r, ctx)
-	if err != nil {
-		return tbl, nil, err
-	}
-	var vs []verdict
-	for _, ex := range nt.expect {
-		ok, detail, err := ex.check(ctx, r)
-		if err != nil {
-			return tbl, nil, fmt.Errorf("%s check: %w", ex.id, err)
-		}
-		vs = append(vs, verdict{ok, ex.id, ex.claim, detail})
-	}
-	return tbl, vs, nil
-}
-
-// sweepSection runs a registered sweep and evaluates its check, if any.
+// sweepSection runs a registered sweep or paper grid and evaluates its
+// check, if any.
 func (r *Runner) sweepSection(ctx context.Context, name string) (stats.Table, []verdict, error) {
 	s, err := r.opts.sweep(name)
 	if err != nil {
@@ -107,70 +76,20 @@ func extraSections(o Options) []extraSection {
 // All returns every reproducible experiment in paper order.
 func All() []namedTable {
 	return []namedTable{
-		{id: "Table III", paperRef: "workload calibration",
-			gen: (*Runner).TableIII},
-		{id: "Figure 3", paperRef: "I-FAM slowdown wrt E-FAM",
-			gen: (*Runner).Figure3,
-			expect: []expectation{{
-				id:    "fig3-sensitive-worst",
-				claim: "AT-sensitive benchmarks (canl, sssp, ccsv, cactus) slow down more than the insensitive set (bc, lu, mg, sp)",
-				check: checkFig3Ordering,
-			}},
-		},
-		{id: "Figure 4", paperRef: "AT share of FAM requests, E-FAM vs I-FAM",
-			gen: (*Runner).Figure4,
-			expect: []expectation{{
-				id:    "fig4-indirection-blowup",
-				claim: "I-FAM's AT share exceeds E-FAM's for every benchmark",
-				check: checkFig4Blowup,
-			}},
-		},
-		{id: "Figure 9", paperRef: "ACM hit rate",
-			gen: (*Runner).Figure9,
-			expect: []expectation{{
-				id:    "fig9-n-beats-w",
-				claim: "DeACT-N's ACM hit rate beats DeACT-W's on AT-sensitive benchmarks; DeACT-W ≈ I-FAM",
-				check: checkFig9NBeatsW,
-			}},
-		},
-		{id: "Figure 10", paperRef: "translation hit rate",
-			gen: (*Runner).Figure10,
-			expect: []expectation{{
-				id:    "fig10-deact-high",
-				claim: "DeACT's in-DRAM translation cache hit rate exceeds I-FAM's STU hit rate on every benchmark (paper: >90%)",
-				check: checkFig10DeACTHigh,
-			}},
-		},
-		{id: "Figure 11", paperRef: "AT share of FAM requests, three organizations",
-			gen: (*Runner).Figure11,
-			expect: []expectation{{
-				id:    "fig11-monotone",
-				claim: "mean AT share decreases I-FAM → DeACT-W → DeACT-N",
-				check: checkFig11Monotone,
-			}},
-		},
-		{id: "Figure 12", paperRef: "normalized performance",
-			gen: (*Runner).Figure12,
-			expect: []expectation{{
-				id:    "fig12-ordering",
-				claim: "E-FAM ≥ DeACT-N ≥ DeACT-W ≥ I-FAM on AT-sensitive benchmarks; DeACT ≈ I-FAM on the insensitive set",
-				check: checkFig12Ordering,
-			}},
-		},
-		{id: "Figure 13", paperRef: "STU size sweep", sweep: "stu"},
-		{id: "§V-D1 associativity", paperRef: "STU associativity sweep", sweep: "assoc"},
-		{id: "Figure 14", paperRef: "ACM width sweep", sweep: "acm"},
-		{id: "§V-D2 pairs/way", paperRef: "DeACT-N packing sweep", sweep: "pairs"},
-		{id: "Figure 15", paperRef: "fabric latency sweep", sweep: "fabric"},
-		{id: "Figure 16", paperRef: "node count sweep", sweep: "nodes"},
-		{id: "§III-A read trust", paperRef: "encrypted-FAM ablation",
-			gen: (*Runner).ReadTrustAblation,
-			expect: []expectation{{
-				id:    "read-trust-never-hurts",
-				claim: "skipping read verification never slows a benchmark down",
-				check: checkReadTrustNeverHurts,
-			}},
-		},
+		{"Table III", "workload calibration", "TableIII"},
+		{"Figure 3", "I-FAM slowdown wrt E-FAM", "Figure3"},
+		{"Figure 4", "AT share of FAM requests, E-FAM vs I-FAM", "Figure4"},
+		{"Figure 9", "ACM hit rate", "Figure9"},
+		{"Figure 10", "translation hit rate", "Figure10"},
+		{"Figure 11", "AT share of FAM requests, three organizations", "Figure11"},
+		{"Figure 12", "normalized performance", "Figure12"},
+		{"Figure 13", "STU size sweep", "stu"},
+		{"§V-D1 associativity", "STU associativity sweep", "assoc"},
+		{"Figure 14", "ACM width sweep", "acm"},
+		{"§V-D2 pairs/way", "DeACT-N packing sweep", "pairs"},
+		{"Figure 15", "fabric latency sweep", "fabric"},
+		{"Figure 16", "node count sweep", "nodes"},
+		{"§III-A read trust", "encrypted-FAM ablation", "ReadTrust"},
 	}
 }
 
@@ -197,7 +116,7 @@ func Report(ctx context.Context, w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "```\n%s```\n\n```\n%s```\n\n", TableI(), TableII())
 
 	for _, nt := range All() {
-		tbl, verdicts, err := nt.run(ctx, r)
+		tbl, verdicts, err := r.sweepSection(ctx, nt.sweep)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nt.id, err)
 		}

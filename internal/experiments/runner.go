@@ -1,8 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§II-D motivation, §V results, §V-D sensitivity) from the
-// simulator. Each experiment returns a stats.Table whose series mirror the
-// corresponding figure's bars or lines; cmd/deact-report renders them all
-// into EXPERIMENTS.md.
+// simulator. Every experiment is one entry of a single registry of
+// declarative grids (sweep): the paper's per-benchmark grids — Table III,
+// Figures 3–12 and the §III-A ablation — in paper.go, and the §V-D and
+// beyond-the-paper sweeps in sweeps.go. One grid runner submits each
+// entry as a batch and reduces it to a stats.Table whose series mirror
+// the figure's bars or lines; each claim check is a pure function of that
+// finished grid. cmd/deact-report renders them all into EXPERIMENTS.md.
 //
 // The Runner is the only scheduler: callers submit fully-built
 // core.Config values, identity is Config.Fingerprint() alone, equal
@@ -169,7 +173,7 @@ type runEntry struct {
 	doomed bool
 }
 
-// Runner schedules simulation runs for the figure and table generators.
+// Runner schedules simulation runs for the experiment grids.
 // Callers submit fully-built core.Config values; requests are deduplicated
 // by Config.Fingerprint() — run identity is derived from the configuration
 // itself, so two distinct configs can never alias one cache slot and two
@@ -612,8 +616,10 @@ func (r *Runner) Progress() (completed, submitted int) {
 	return r.completed, r.submitted
 }
 
-// baseConfig derives the core config for one benchmark/scheme pair.
-func (r *Runner) baseConfig(scheme core.Scheme, bench string) core.Config {
+// config builds the fully-mutated configuration for one run request. The
+// mutation is applied at request-build time, so run identity is carried by
+// the resulting config value alone — there is no key for it to drift from.
+func (r *Runner) config(scheme core.Scheme, bench string, mutate func(*core.Config)) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Benchmark = bench
@@ -621,54 +627,10 @@ func (r *Runner) baseConfig(scheme core.Scheme, bench string) core.Config {
 	cfg.WarmupInstructions = r.opts.Warmup
 	cfg.MeasureInstructions = r.opts.Measure
 	cfg.Seed = r.opts.Seed
-	return cfg
-}
-
-// config builds the fully-mutated configuration for one run request. The
-// mutation is applied at request-build time, so run identity is carried by
-// the resulting config value alone — there is no key for it to drift from.
-func (r *Runner) config(scheme core.Scheme, bench string, mutate func(*core.Config)) core.Config {
-	cfg := r.baseConfig(scheme, bench)
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	return cfg
-}
-
-// perBenchmark evaluates metric for every benchmark under scheme with the
-// default parameters, running the simulations concurrently.
-func (r *Runner) perBenchmark(ctx context.Context, scheme core.Scheme, metric func(core.Result) float64) ([]float64, error) {
-	rows, err := r.perBenchmarkSchemes(ctx, []core.Scheme{scheme}, metric)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
-// perBenchmarkSchemes evaluates metric for every benchmark under each
-// scheme, submitting the whole scheme×benchmark grid as one batch so all
-// runs overlap. Row i corresponds to schemes[i] in benchmark order.
-func (r *Runner) perBenchmarkSchemes(ctx context.Context, schemes []core.Scheme, metric func(core.Result) float64) ([][]float64, error) {
-	benches := r.opts.benchmarks()
-	var cfgs []core.Config
-	for _, s := range schemes {
-		for _, b := range benches {
-			cfgs = append(cfgs, r.config(s, b, nil))
-		}
-	}
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(schemes))
-	for i := range schemes {
-		row := make([]float64, len(benches))
-		for j := range benches {
-			row[j] = metric(res[i*len(benches)+j])
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // Options returns the runner options.

@@ -44,35 +44,10 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []core.Config) ([]core.Result,
 	return results, nil
 }
 
-// runPaired executes an interleaved (a0, b0, a1, b1, …) batch and returns
-// the results as pairs — the shape every "scheme vs its baseline"
-// experiment consumes.
-func (r *Runner) runPaired(ctx context.Context, cfgs []core.Config) ([][2]core.Result, error) {
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]core.Result, len(res)/2)
-	for i := range pairs {
-		pairs[i] = [2]core.Result{res[2*i], res[2*i+1]}
-	}
-	return pairs, nil
-}
-
-// pairedDefaults runs (a, b) defaults for every benchmark in one batch and
-// returns the result pairs in benchmark order.
-func (r *Runner) pairedDefaults(ctx context.Context, a, b core.Scheme, benches []string) ([][2]core.Result, error) {
-	var cfgs []core.Config
-	for _, bench := range benches {
-		cfgs = append(cfgs, r.config(a, bench, nil), r.config(b, bench, nil))
-	}
-	return r.runPaired(ctx, cfgs)
-}
-
 // prefetchDefaults warms the run cache with the full scheme×benchmark grid
-// of default-parameter simulations. Report calls it first so Table III and
-// Figures 3, 4, 9–12 — which all draw on these runs — assemble from cache
-// hits instead of each paying for its own subset serially.
+// of default-parameter simulations. Report calls it first so the paper grids
+// (Table III, Figures 3, 4, 9–12), which all draw on these runs, assemble
+// from cache hits instead of each paying for its own subset serially.
 func (r *Runner) prefetchDefaults(ctx context.Context) error {
 	var cfgs []core.Config
 	for _, s := range core.Schemes() {

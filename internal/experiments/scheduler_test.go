@@ -116,7 +116,7 @@ func TestRunAllErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentGenerators drives two figure generators over one shared
+// TestConcurrentGenerators drives two paper grids over one shared
 // runner from separate goroutines with Parallelism > 1 — the -race
 // exercise for the dedup map and worker pool.
 func TestConcurrentGenerators(t *testing.T) {
@@ -125,8 +125,8 @@ func TestConcurrentGenerators(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); _, errs[0] = r.Figure4(ctx) }()
-	go func() { defer wg.Done(); _, errs[1] = r.Figure11(ctx) }()
+	go func() { defer wg.Done(); _, errs[0] = r.RunSweep(ctx, "Figure4") }()
+	go func() { defer wg.Done(); _, errs[1] = r.RunSweep(ctx, "Figure11") }()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -12,23 +12,28 @@ import (
 	"deact/internal/workload"
 )
 
-// sweep is one parameter sweep described as data: a table with one series
-// per row and one column per point. Every cell is reduced by its row's cell
-// function from the simulations of that (row, point) — one run per member
-// benchmark, paired with an I-FAM run at the same config when vsIFAM is set.
-// The whole grid is submitted as one batch, so all of it overlaps on the
-// worker pool.
+// sweep is one grid described as data: a table with one series per row and
+// one column per point. Every cell is reduced by its row's cell function
+// from the simulations of that (row, point) — one run per member
+// benchmark, each paired with a baseline run when base is set. The whole
+// grid is submitted as one batch, so all of it overlaps on the worker pool.
 type sweep struct {
-	name   string // the deact-sweep -sweep value
+	name   string // the deact-sweep -sweep value, or a paper grid's name
 	title  string
 	format string // stats.Table.Format ("" = "%.2f")
 	points []point
-	rows   []row
-	vsIFAM bool
-	check  *sweepCheck // nil: the sweep states no claim
+	// benchColumns replaces points with one column per benchmark of the
+	// set, labelled by name: each cell is that benchmark's one run, and
+	// rows name no members.
+	benchColumns bool
+	rows         []row
+	// base, if set, derives each run's baseline: the same config mutated
+	// by base (withScheme(core.IFAM) for the §V-D sweeps).
+	base  func(*core.Config)
+	check *sweepCheck // nil: the sweep states no claim
 }
 
-// point is one column: its label and the setting it sweeps.
+// point is one column: its label and the setting it sweeps (nil: none).
 type point struct {
 	label string
 	set   func(*core.Config)
@@ -36,8 +41,8 @@ type point struct {
 
 // row is one series: the scheme it runs, the benchmarks whose runs make
 // each cell, the non-swept settings it fixes (nil: none) and how a cell
-// reduces those runs. Rows without members are skipped: they have no runs
-// and no series.
+// reduces those runs. Outside benchmark columns, rows without members are
+// skipped: they have no runs and no series.
 type row struct {
 	name    string
 	scheme  core.Scheme
@@ -47,7 +52,7 @@ type row struct {
 }
 
 // sweepRun is one member simulation of a cell: its config, its result and,
-// for vsIFAM sweeps, the I-FAM result at the same config.
+// for sweeps with a baseline, the baseline run's result.
 type sweepRun struct {
 	cfg       core.Config
 	res, base core.Result
@@ -55,6 +60,11 @@ type sweepRun struct {
 
 // cellFunc reduces one row's runs (runs[point][member]) at point p.
 type cellFunc func(runs [][]sweepRun, p int) float64
+
+// withScheme is a baseline that runs the same config under scheme s.
+func withScheme(s core.Scheme) func(*core.Config) {
+	return func(c *core.Config) { c.Scheme = s }
+}
 
 // sweepCheck is a sweep's qualitative claim. verdict reads the finished
 // sweep — it never submits a run of its own.
@@ -110,8 +120,8 @@ func SweepNames() []string {
 	return names
 }
 
-// RunSweep runs the named registered sweep at the runner's scale and
-// returns its table.
+// RunSweep runs the named registered sweep or paper grid at the runner's
+// scale and returns its table.
 func (r *Runner) RunSweep(ctx context.Context, name string) (stats.Table, error) {
 	s, err := r.opts.sweep(name)
 	if err != nil {
@@ -121,9 +131,9 @@ func (r *Runner) RunSweep(ctx context.Context, name string) (stats.Table, error)
 	return res.table, err
 }
 
-// sweep looks a registered sweep up by name.
+// sweep looks a registered sweep or paper grid up by name.
 func (o Options) sweep(name string) (sweep, error) {
-	for _, s := range o.sweeps() {
+	for _, s := range append(paperSweeps(), o.sweeps()...) {
 		if s.name == name {
 			return s, nil
 		}
@@ -133,28 +143,44 @@ func (o Options) sweep(name string) (sweep, error) {
 
 // runSweep simulates s's grid as one batch and assembles the table.
 func (r *Runner) runSweep(ctx context.Context, s sweep) (sweepResult, error) {
+	points := s.points
+	if s.benchColumns {
+		points = nil
+		for _, b := range r.opts.benchmarks() {
+			points = append(points, point{label: b})
+		}
+	}
+	// members lists the benchmarks of rw's cell at p.
+	members := func(rw row, p point) []string {
+		if s.benchColumns {
+			return []string{p.label}
+		}
+		return rw.members
+	}
 	res := sweepResult{table: stats.Table{Title: s.title, Format: s.format}}
-	for _, p := range s.points {
+	for _, p := range points {
 		res.table.XLabels = append(res.table.XLabels, p.label)
 	}
 	var rows []row
 	var cfgs []core.Config
 	for _, rw := range s.rows {
-		if len(rw.members) == 0 {
+		if len(rw.members) == 0 && !s.benchColumns {
 			continue
 		}
 		rows = append(rows, rw)
-		for _, p := range s.points {
-			for _, b := range rw.members {
+		for _, p := range points {
+			for _, b := range members(rw, p) {
 				cfg := r.config(rw.scheme, b, func(c *core.Config) {
 					if rw.set != nil {
 						rw.set(c)
 					}
-					p.set(c)
+					if p.set != nil {
+						p.set(c)
+					}
 				})
 				cfgs = append(cfgs, cfg)
-				if s.vsIFAM {
-					cfg.Scheme = core.IFAM
+				if s.base != nil {
+					s.base(&cfg)
 					cfgs = append(cfgs, cfg)
 				}
 			}
@@ -166,19 +192,19 @@ func (r *Runner) runSweep(ctx context.Context, s sweep) (sweepResult, error) {
 	}
 	next := 0
 	for _, rw := range rows {
-		runs := make([][]sweepRun, len(s.points))
+		runs := make([][]sweepRun, len(points))
 		for p := range runs {
-			for range rw.members {
+			for range members(rw, points[p]) {
 				run := sweepRun{cfg: cfgs[next], res: out[next]}
 				next++
-				if s.vsIFAM {
+				if s.base != nil {
 					run.base = out[next]
 					next++
 				}
 				runs[p] = append(runs[p], run)
 			}
 		}
-		vals := make([]float64, len(s.points))
+		vals := make([]float64, len(points))
 		for p := range vals {
 			vals[p] = rw.cell(runs, p)
 		}
@@ -191,7 +217,7 @@ func (r *Runner) runSweep(ctx context.Context, s sweep) (sweepResult, error) {
 }
 
 // geomeanSpeedup is the §V-D y-axis: the geomean over members of each
-// member's speedup over I-FAM at the same point.
+// member's speedup over its baseline.
 func geomeanSpeedup(runs [][]sweepRun, p int) float64 {
 	ratios := make([]float64, 0, len(runs[p]))
 	for _, m := range runs[p] {
@@ -200,8 +226,8 @@ func geomeanSpeedup(runs [][]sweepRun, p int) float64 {
 	return stats.Geomean(ratios)
 }
 
-// speedup is a single member's plain speedup over I-FAM (a geomean of one
-// value is not bit-equal to the value).
+// speedup is a single member's plain speedup over its baseline (a geomean
+// of one value is not bit-equal to the value).
 func speedup(runs [][]sweepRun, p int) float64 {
 	return runs[p][0].res.Speedup(runs[p][0].base)
 }
@@ -393,8 +419,8 @@ func (o Options) sweeps() []sweep {
 			title: "Figure 13: DeACT-N speedup wrt I-FAM vs STU cache entries",
 			points: sweepPoints([]int{256, 512, 1024, 2048, 4096}, labelf[int]("%d"),
 				func(c *core.Config, n int) { c.STUEntries = n }),
-			rows:   o.groupRows(core.DeACTN),
-			vsIFAM: true,
+			rows: o.groupRows(core.DeACTN),
+			base: withScheme(core.IFAM),
 			check: endsCheck("fig13-shrinking-gain",
 				"DeACT's speedup over I-FAM shrinks as the STU cache grows", "stu=", false),
 		},
@@ -404,8 +430,8 @@ func (o Options) sweeps() []sweep {
 			title: "§V-D1: DeACT-N speedup wrt I-FAM vs STU associativity",
 			points: sweepPoints([]int{4, 8, 32, 64}, labelf[int]("%d-way"),
 				func(c *core.Config, a int) { c.STUWays = a }),
-			rows:   o.groupRows(core.DeACTN),
-			vsIFAM: true,
+			rows: o.groupRows(core.DeACTN),
+			base: withScheme(core.IFAM),
 		},
 		{
 			// Figure 14: DeACT-W and DeACT-N, each normalized to I-FAM at
@@ -414,8 +440,8 @@ func (o Options) sweeps() []sweep {
 			title: "Figure 14: speedup wrt I-FAM vs ACM size",
 			points: sweepPoints([]uint{8, 16, 32}, labelf[uint]("%db"),
 				func(c *core.Config, w uint) { c.Layout.ACMBits = w }),
-			rows:   o.groupRows(core.DeACTW, core.DeACTN),
-			vsIFAM: true,
+			rows: o.groupRows(core.DeACTW, core.DeACTN),
+			base: withScheme(core.IFAM),
 		},
 		{
 			// §V-D2: (tag, ACM) pairs per DeACT-N way, at the paper's 8-bit
@@ -426,8 +452,8 @@ func (o Options) sweeps() []sweep {
 				c.PairsPerWay = p
 				c.Layout.ACMBits = 8
 			}),
-			rows:   o.groupRows(core.DeACTN),
-			vsIFAM: true,
+			rows: o.groupRows(core.DeACTN),
+			base: withScheme(core.IFAM),
 			check: &sweepCheck{id: "fig14-pairs-monotone",
 				claim: "more (tag, ACM) pairs per way → more speedup; one pair ≈ DeACT-W",
 				verdict: func(res sweepResult) (bool, string) {
@@ -442,8 +468,8 @@ func (o Options) sweeps() []sweep {
 			title: "Figure 15: DeACT-N speedup wrt I-FAM vs fabric latency",
 			points: sweepPoints([]sim.Time{sim.NS(100), sim.NS(250), sim.NS(500), sim.NS(750), sim.US(1), sim.US(3), sim.US(6)},
 				nsLabel, func(c *core.Config, l sim.Time) { c.FabricLatency = l }),
-			rows:   o.groupRows(core.DeACTN),
-			vsIFAM: true,
+			rows: o.groupRows(core.DeACTN),
+			base: withScheme(core.IFAM),
 			check: endsCheck("fig15-growing-gain",
 				"longer fabric latency → bigger DeACT speedup over I-FAM", "fab=", true),
 		},
@@ -454,8 +480,8 @@ func (o Options) sweeps() []sweep {
 			title: "Figure 16: DeACT-N speedup wrt I-FAM vs number of nodes",
 			points: sweepPoints([]int{1, 2, 4, 8}, labelf[int]("%d"),
 				func(c *core.Config, n int) { c.Nodes = n }),
-			rows:   fig16Rows,
-			vsIFAM: true,
+			rows: fig16Rows,
+			base: withScheme(core.IFAM),
 			check: &sweepCheck{id: "fig16-growing-gain",
 				claim: "more nodes sharing the fabric → bigger DeACT speedup over I-FAM",
 				verdict: func(res sweepResult) (bool, string) {

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"deact/internal/core"
 	"deact/internal/sim"
-	"deact/internal/stats"
-	"deact/internal/workload"
 )
 
 // TableI renders the qualitative FAM-architecture comparison of Table I.
@@ -42,34 +39,4 @@ func TableII() string {
 	fmt.Fprintf(&b, "FAM xlate $    %dKB in DRAM, 4-way\n", c.TranslationCacheBytes>>10)
 	fmt.Fprintf(&b, "ACM            %d bits/page\n", c.Layout.ACMBits)
 	return b.String()
-}
-
-// TableIII reports paper-reported vs measured MPKI per benchmark (the
-// workload-calibration check). Measured MPKI comes from an E-FAM run, the
-// configuration closest to the paper's selection environment.
-func (r *Runner) TableIII(ctx context.Context) (stats.Table, error) {
-	t := stats.Table{
-		Title:   "Table III: Applications — paper MPKI vs measured (E-FAM, scaled system)",
-		XLabels: r.opts.benchmarks(),
-		Format:  "%.0f",
-	}
-	var paperVals []float64
-	for _, b := range r.opts.benchmarks() {
-		p, err := workload.Get(b)
-		if err != nil {
-			return t, err
-		}
-		paperVals = append(paperVals, p.PaperMPKI)
-	}
-	measured, err := r.perBenchmark(ctx, core.EFAM, func(res core.Result) float64 { return res.MPKI })
-	if err != nil {
-		return t, err
-	}
-	if err := t.AddSeries("paper", paperVals); err != nil {
-		return t, err
-	}
-	if err := t.AddSeries("measured", measured); err != nil {
-		return t, err
-	}
-	return t, nil
 }
