@@ -12,7 +12,9 @@
 //
 //	POST /run                  one configuration → {Fingerprint, Cached, Result}
 //	POST /sweep                {"Configs":[...]} → NDJSON, one line per config
-//	                           in submission order, streamed as results land
+//	                           in submission order, streamed as results land;
+//	                           one Runner batch, so -share-warmup shares
+//	                           warmups within the request
 //	GET  /result/{fingerprint} stored entry for a fingerprint (404 on miss)
 //	GET  /healthz              liveness probe
 //
@@ -229,10 +231,7 @@ func (s *server) handleSweep(w http.ResponseWriter, req *http.Request) {
 			_, cached[i] = s.store.Lookup(cfgs[i].Fingerprint())
 		}
 	}
-	futures := make([]*experiments.Future, len(cfgs))
-	for i := range cfgs {
-		futures[i] = s.runner.Submit(req.Context(), cfgs[i])
-	}
+	futures := s.runner.SubmitAll(req.Context(), cfgs)
 	// If the stream aborts mid-sweep (client disconnect), the unconsumed
 	// futures must still detach: a future this handler never Waits would
 	// otherwise keep its simulation attached forever, so queued points of an

@@ -22,11 +22,11 @@
 // snapshot, core.WithWarmupHook observes the warmup/measure boundary. Run
 // identity is core.Config.Fingerprint(): a canonical hash over every
 // exported field (reflection-walked, so new fields cannot be silently
-// omitted) after normalizing derived fields. experiments.Runner deduplicates on that
-// fingerprint alone — callers Submit(ctx, cfg) and get a Future, or batch
-// with RunAll(ctx, cfgs); identical configs share one simulation and
-// distinct configs can never alias one cache slot the way hand-written
-// string keys could. A deduplicated waiter that cancels unblocks with its
+// omitted) after normalizing derived fields. experiments.Runner
+// deduplicates on that fingerprint alone — callers Submit(ctx, cfg) or
+// SubmitAll(ctx, cfgs) and get Futures, or batch with RunAll(ctx, cfgs);
+// identical configs share one simulation and distinct configs can never
+// alias one cache slot the way hand-written string keys could. A deduplicated waiter that cancels unblocks with its
 // own ctx.Err() while the shared computation keeps running for the
 // remaining waiters; the last waiter detaching cancels it, and the worker
 // pool stops admitting cancelled work. Options.OnRunDone streams
@@ -65,22 +65,23 @@
 // the golden-report job hold this). The package-level Example in
 // example_test.go is the compile-checked Runner tour.
 //
-// Warmup is shared across sweep points. core.System.Snapshot deep-copies
-// all mutable simulation state at the warmup/measure boundary — the one
-// quiescent point where the event queue is empty and every core has
-// retired — and core.System.Restore rewinds a freshly built system to it,
-// guarded by core.Config.WarmupFingerprint (the Fingerprint reflection
-// walk minus MeasureInstructions, the only field that cannot shape warmup
-// state). With experiments.Options.ShareWarmup (cmds: -share-warmup), the
-// Runner groups distinct runs by warmup fingerprint: the first run of each
-// group simulates the shared prefix once and, if other runs of the group
-// are pending, publishes a snapshot from the boundary (while its own
-// measured phase continues); every other run waits before taking a worker
-// slot and forks from the snapshot (RunInfo.Forked), and a bounded LRU of
-// snapshots recycles its storage through a dedicated SystemPool. A run
-// alone in its group captures nothing. Forked runs are bit-identical to
-// cold runs (TestForkedRunMatchesCold and TestSharedWarmupByteIdentical
-// hold this);
+// Warmup is shared across the points of one batch. core.System.Snapshot
+// deep-copies all mutable simulation state into a plain value at the
+// warmup/measure boundary — the one quiescent point where the event queue
+// is empty and every core has retired — and core.System.Restore rewinds a
+// freshly built system to it, guarded by core.Config.WarmupFingerprint
+// (the Fingerprint reflection walk minus MeasureInstructions, the only
+// field that cannot shape warmup state). With
+// experiments.Options.ShareWarmup (cmds: -share-warmup), Runner.SubmitAll
+// groups the distinct runs of one batch by warmup fingerprint: the first
+// run of each group that misses the result store simulates the shared
+// prefix once and, if another run of the group is unfinished, captures a
+// snapshot at the boundary (while its own measured phase continues); every
+// other run waits before taking a worker slot and forks from the snapshot
+// (RunInfo.Forked). A run alone in its group captures nothing, runs of
+// different batches never share, and a snapshot is garbage once its
+// group's runs finish. Forked runs are bit-identical to cold runs
+// (TestForkedRunMatchesCold and TestSharedWarmupByteIdentical hold this);
 // BenchmarkSnapshotFork measures the per-point saving — the measured phase
 // alone instead of warmup+measure.
 //

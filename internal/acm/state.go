@@ -1,6 +1,9 @@
 package acm
 
 import (
+	"maps"
+	"slices"
+
 	"deact/internal/addr"
 	"deact/internal/arena"
 )
@@ -16,34 +19,15 @@ type StoreState struct {
 	writes uint64
 }
 
-// CaptureState captures the store into st, reusing st's storage where it
-// fits and drawing chunk copies from a (nil allocates normally).
-func (s *Store) CaptureState(a *arena.Arena, st *StoreState) {
-	if cap(st.chunks) < len(s.chunks) {
-		grown := make([][]slot, len(s.chunks))
-		copy(grown, st.chunks)
-		st.chunks = grown
-	}
-	// Release copies for regions beyond the source's region count (a prior
-	// capture from a larger store), then mirror each chunk.
-	for i := len(s.chunks); i < len(st.chunks); i++ {
-		arena.Release(a, "snap.acm.chunk", st.chunks[i])
-		st.chunks[i] = nil
-	}
-	st.chunks = st.chunks[:len(s.chunks)]
+// CaptureState captures the store into st.
+func (s *Store) CaptureState(st *StoreState) {
+	st.chunks = make([][]slot, len(s.chunks))
 	for i, c := range s.chunks {
-		st.chunks[i] = arena.CopyInto(a, "snap.acm.chunk", st.chunks[i], c)
+		st.chunks[i] = slices.Clone(c)
 	}
-	if st.shared == nil {
-		st.shared = map[uint64]map[uint16]Perm{}
-	}
-	clear(st.shared)
+	st.shared = make(map[uint64]map[uint16]Perm, len(s.shared))
 	for huge, grants := range s.shared {
-		m := make(map[uint16]Perm, len(grants))
-		for n, p := range grants {
-			m[n] = p
-		}
-		st.shared[huge] = m
+		st.shared[huge] = maps.Clone(grants)
 	}
 	st.writes = s.writes
 }
@@ -81,13 +65,4 @@ func (s *Store) RestoreState(st *StoreState) {
 		s.shared[huge] = m
 	}
 	s.writes = st.writes
-}
-
-// Release returns st's chunk copies to a for reuse by later captures.
-func (st *StoreState) Release(a *arena.Arena) {
-	for i, c := range st.chunks {
-		arena.Release(a, "snap.acm.chunk", c)
-		st.chunks[i] = nil
-	}
-	st.chunks = st.chunks[:0]
 }

@@ -90,16 +90,11 @@ type ShardedState struct {
 	shards []State
 }
 
-// CaptureState captures every shard into st, reusing st's storage.
-func (s *Sharded) CaptureState(a *arena.Arena, st *ShardedState) {
-	if len(st.shards) != len(s.shards) {
-		for i := range st.shards {
-			st.shards[i].Release(a)
-		}
-		st.shards = make([]State, len(s.shards))
-	}
+// CaptureState captures every shard into st.
+func (s *Sharded) CaptureState(st *ShardedState) {
+	st.shards = make([]State, len(s.shards))
 	for i, b := range s.shards {
-		b.CaptureState(a, &st.shards[i])
+		b.CaptureState(&st.shards[i])
 	}
 }
 
@@ -114,12 +109,4 @@ func (s *Sharded) RestoreState(st *ShardedState) error {
 		}
 	}
 	return nil
-}
-
-// Release returns st's large copies to a for reuse by later captures.
-func (st *ShardedState) Release(a *arena.Arena) {
-	for i := range st.shards {
-		st.shards[i].Release(a)
-	}
-	st.shards = nil
 }

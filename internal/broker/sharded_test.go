@@ -130,7 +130,7 @@ func TestShardedCaptureRestoreReplays(t *testing.T) {
 		}
 	}
 	var st ShardedState
-	sh.CaptureState(nil, &st)
+	sh.CaptureState(&st)
 	var want []addr.FPage
 	for i := 0; i < 64; i++ {
 		p, err := sh.For(uint16(1 + i%5)).AllocatePage(uint16(1 + i%5))

@@ -2,10 +2,11 @@ package broker
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"deact/internal/acm"
 	"deact/internal/addr"
-	"deact/internal/arena"
 	"deact/internal/pagetable"
 	"deact/internal/rng"
 )
@@ -26,38 +27,20 @@ type State struct {
 	meta      acm.StoreState
 }
 
-// CaptureState captures the broker into st, reusing st's storage where it
-// fits and drawing large copies from a (nil allocates normally).
-func (b *Broker) CaptureState(a *arena.Arena, st *State) {
+// CaptureState captures the broker into st.
+func (b *Broker) CaptureState(st *State) {
 	st.rng = b.rng.State()
 	st.freeCount = b.freeCount
-	if st.freeMods == nil {
-		st.freeMods = map[uint64]addr.FPage{}
-	}
-	clear(st.freeMods)
-	for i, p := range b.freeMods {
-		st.freeMods[i] = p
-	}
-	st.owner = arena.CopyInto(a, "snap.broker.owner", st.owner, b.owner)
-	if st.tables == nil {
-		st.tables = map[uint16]*pagetable.State{}
-	}
-	for id, tst := range st.tables {
-		if _, ok := b.nodeMaps[id]; !ok {
-			tst.Release(a)
-			delete(st.tables, id)
-		}
-	}
+	st.freeMods = maps.Clone(b.freeMods)
+	st.owner = slices.Clone(b.owner)
+	st.tables = make(map[uint16]*pagetable.State, len(b.nodeMaps))
 	for id, t := range b.nodeMaps {
-		tst := st.tables[id]
-		if tst == nil {
-			tst = &pagetable.State{}
-			st.tables[id] = tst
-		}
-		t.CaptureState(a, tst)
+		tst := &pagetable.State{}
+		t.CaptureState(tst)
+		st.tables[id] = tst
 	}
 	st.hugeNext, st.randLimit, st.allocated = b.hugeNext, b.randLimit, b.allocated
-	b.meta.CaptureState(a, &st.meta)
+	b.meta.CaptureState(&st.meta)
 }
 
 // RestoreState rewinds the broker to st. Node tables are restored *through*
@@ -92,15 +75,4 @@ func (b *Broker) RestoreState(st *State) error {
 	b.hugeNext, b.randLimit, b.allocated = st.hugeNext, st.randLimit, st.allocated
 	b.meta.RestoreState(&st.meta)
 	return nil
-}
-
-// Release returns st's large copies to a for reuse by later captures.
-func (st *State) Release(a *arena.Arena) {
-	arena.Release(a, "snap.broker.owner", st.owner)
-	st.owner = nil
-	for id, tst := range st.tables {
-		tst.Release(a)
-		delete(st.tables, id)
-	}
-	st.meta.Release(a)
 }

@@ -1,8 +1,6 @@
 package cache
 
-import (
-	"deact/internal/arena"
-)
+import "slices"
 
 // State is one Cache's mutable state for core.System.Snapshot: the full
 // line arrays (tags, dirty bits, way cache, rank words) plus the counters. Geometry fields
@@ -19,13 +17,12 @@ type State struct {
 	inserted uint64
 }
 
-// CaptureState captures the cache into st, reusing st's storage where it
-// fits and drawing the rest from a (nil allocates normally).
-func (c *Cache) CaptureState(a *arena.Arena, st *State) {
-	st.tags = arena.CopyInto(a, "snap.cache.tags", st.tags, c.tags)
-	st.dirty = arena.CopyInto(a, "snap.cache.dirty", st.dirty, c.dirty)
-	st.mruWay = arena.CopyInto(a, "snap.cache.mru", st.mruWay, c.mruWay)
-	st.order = arena.CopyInto(a, "snap.cache.order", st.order, c.order)
+// CaptureState captures the cache into st.
+func (c *Cache) CaptureState(st *State) {
+	st.tags = slices.Clone(c.tags)
+	st.dirty = slices.Clone(c.dirty)
+	st.mruWay = slices.Clone(c.mruWay)
+	st.order = slices.Clone(c.order)
 	st.hits, st.misses, st.inserted = c.hits, c.misses, c.inserted
 }
 
@@ -43,16 +40,6 @@ func (c *Cache) RestoreState(st *State) {
 	c.hits, c.misses, c.inserted = st.hits, st.misses, st.inserted
 }
 
-// Release returns st's arrays to a for reuse by later captures. The state
-// must not be restored from afterwards.
-func (st *State) Release(a *arena.Arena) {
-	arena.Release(a, "snap.cache.tags", st.tags)
-	arena.Release(a, "snap.cache.dirty", st.dirty)
-	arena.Release(a, "snap.cache.mru", st.mruWay)
-	arena.Release(a, "snap.cache.order", st.order)
-	st.tags, st.dirty, st.mruWay, st.order = nil, nil, nil, nil
-}
-
 // HierarchyState captures every level of a Hierarchy. The writeback scratch
 // buffer is not state: its contents never survive an Access call.
 type HierarchyState struct {
@@ -61,17 +48,14 @@ type HierarchyState struct {
 }
 
 // CaptureState captures the hierarchy into st.
-func (h *Hierarchy) CaptureState(a *arena.Arena, st *HierarchyState) {
-	if cap(st.l1) < len(h.l1) {
-		st.l1 = make([]State, len(h.l1))
-		st.l2 = make([]State, len(h.l2))
-	}
-	st.l1, st.l2 = st.l1[:len(h.l1)], st.l2[:len(h.l2)]
+func (h *Hierarchy) CaptureState(st *HierarchyState) {
+	st.l1 = make([]State, len(h.l1))
+	st.l2 = make([]State, len(h.l2))
 	for i := range h.l1 {
-		h.l1[i].CaptureState(a, &st.l1[i])
-		h.l2[i].CaptureState(a, &st.l2[i])
+		h.l1[i].CaptureState(&st.l1[i])
+		h.l2[i].CaptureState(&st.l2[i])
 	}
-	h.l3.CaptureState(a, &st.l3)
+	h.l3.CaptureState(&st.l3)
 }
 
 // RestoreState rewinds the hierarchy to st.
@@ -84,13 +68,4 @@ func (h *Hierarchy) RestoreState(st *HierarchyState) {
 		h.l2[i].RestoreState(&st.l2[i])
 	}
 	h.l3.RestoreState(&st.l3)
-}
-
-// Release returns every level's arrays to a.
-func (st *HierarchyState) Release(a *arena.Arena) {
-	for i := range st.l1 {
-		st.l1[i].Release(a)
-		st.l2[i].Release(a)
-	}
-	st.l3.Release(a)
 }

@@ -62,7 +62,7 @@ func RunnerFlags(fs *flag.FlagSet) *Runner {
 	r := &Runner{}
 	fs.StringVar(&r.Benchmarks, "benchmarks", "", "comma-separated benchmark subset (default: all 14)")
 	fs.IntVar(&r.Parallelism, "parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	fs.BoolVar(&r.ShareWarmup, "share-warmup", false, "simulate shared warmup prefixes once and fork the measured phases (byte-identical output)")
+	fs.BoolVar(&r.ShareWarmup, "share-warmup", false, "simulate the warmup prefixes shared within one batch once and fork the measured phases (byte-identical output)")
 	fs.StringVar(&r.StoreDir, "store", "", "persistent result-store directory: warm entries are served without simulating, cold runs are persisted for the next invocation (empty = no store)")
 	return r
 }

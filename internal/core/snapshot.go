@@ -49,46 +49,25 @@ func (sn *Snapshot) WarmupFingerprint() string { return sn.warmFP }
 // callback, which Run invokes exactly at the warmup/measure boundary;
 // capturing mid-flight panics (the in-flight events cannot be copied).
 func (s *System) Snapshot() *Snapshot {
-	sn := &Snapshot{}
-	s.SnapshotInto(sn, nil)
-	return sn
-}
-
-// SnapshotInto is Snapshot capturing into an existing sn, reusing its
-// backing storage where it fits and drawing large copies from pool (nil
-// allocates normally). Recycling snapshots this way makes repeated captures
-// across a sweep allocation-free.
-func (s *System) SnapshotInto(sn *Snapshot, pool *SystemPool) {
-	a := pool.arenaOf()
-	sn.warmFP = s.cfg.WarmupFingerprint()
+	sn := &Snapshot{
+		warmFP: s.cfg.WarmupFingerprint(),
+		nodes:  make([]node.State, len(s.nodes)),
+		cores:  make([][]cpu.State, len(s.cores)),
+	}
 	s.engine.CaptureState(&sn.engine)
 	s.fab.CaptureState(&sn.fab)
 	s.fam.CaptureState(&sn.fam)
-	s.brk.CaptureState(a, &sn.brk)
-	if cap(sn.nodes) < len(s.nodes) {
-		grown := make([]node.State, len(s.nodes))
-		copy(grown, sn.nodes)
-		sn.nodes = grown
-	}
-	sn.nodes = sn.nodes[:len(s.nodes)]
+	s.brk.CaptureState(&sn.brk)
 	for i, n := range s.nodes {
-		n.CaptureState(a, &sn.nodes[i])
+		n.CaptureState(&sn.nodes[i])
 	}
-	if cap(sn.cores) < len(s.cores) {
-		grown := make([][]cpu.State, len(s.cores))
-		copy(grown, sn.cores)
-		sn.cores = grown
-	}
-	sn.cores = sn.cores[:len(s.cores)]
 	for ni, row := range s.cores {
-		if cap(sn.cores[ni]) < len(row) {
-			sn.cores[ni] = make([]cpu.State, len(row))
-		}
-		sn.cores[ni] = sn.cores[ni][:len(row)]
+		sn.cores[ni] = make([]cpu.State, len(row))
 		for ci, c := range row {
 			c.CaptureState(&sn.cores[ni][ci])
 		}
 	}
+	return sn
 }
 
 // Restore rewinds the system to sn's warmup/measure boundary. The system
@@ -119,18 +98,4 @@ func (s *System) Restore(sn *Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// Release returns the snapshot's large copies to pool for reuse by later
-// captures (or system constructions). The snapshot must not be restored
-// from afterwards. A nil pool is a no-op.
-func (sn *Snapshot) Release(pool *SystemPool) {
-	a := pool.arenaOf()
-	if a == nil {
-		return
-	}
-	sn.brk.Release(a)
-	for i := range sn.nodes {
-		sn.nodes[i].Release(a)
-	}
 }

@@ -94,45 +94,6 @@ func TestSnapshotForksDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestSnapshotReusedStorage: capturing into a recycled Snapshot
-// (SnapshotInto over a previous capture's storage) must behave exactly like
-// a fresh capture — the Runner's bounded snapshot cache depends on it.
-func TestSnapshotReusedStorage(t *testing.T) {
-	cfgA := quickConfig(IFAM, "mcf")
-	cfgA.WarmupInstructions, cfgA.MeasureInstructions = 6_000, 6_000
-	cfgB := quickConfig(DeACTN, "dc")
-	cfgB.WarmupInstructions, cfgB.MeasureInstructions = 4_000, 6_000
-
-	coldB, err := Run(context.Background(), cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := NewSystemPool()
-	snap := &Snapshot{}
-	// First capture from config A, then release and recapture from B into
-	// the same Snapshot value through the same pool.
-	if _, err := Run(context.Background(), cfgA, WithWarmupHook(func(s *System) {
-		s.SnapshotInto(snap, pool)
-	})); err != nil {
-		t.Fatal(err)
-	}
-	snap.Release(pool)
-	if _, err := Run(context.Background(), cfgB, WithWarmupHook(func(s *System) {
-		s.SnapshotInto(snap, pool)
-	})); err != nil {
-		t.Fatal(err)
-	}
-
-	forked, err := Run(context.Background(), cfgB, WithSnapshot(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(coldB, forked) {
-		t.Fatalf("fork from recycled snapshot diverged:\n%+v\n%+v", coldB, forked)
-	}
-}
-
 // TestRestoreRejectsMismatchedConfig: a snapshot must only restore into a
 // system whose warmup-relevant fields match; a differing MeasureInstructions
 // must be accepted (that is the point of warmup sharing).

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"deact/internal/core"
 	"deact/internal/resultstore"
@@ -57,13 +58,15 @@ type Options struct {
 	// runner-wide completed/submitted counters of that moment. Calls are
 	// serialized; the hook must not call back into the Runner.
 	OnRunDone func(RunInfo)
-	// ShareWarmup groups distinct runs by core.Config.WarmupFingerprint():
-	// the first run of each group simulates the shared warmup prefix once
-	// and, if other runs of the group are submitted and unfinished when it
-	// reaches the warmup/measure boundary, snapshots it there; those runs
-	// fork their measured phases from the snapshot instead of
-	// re-simulating the warmup. A run alone in its group captures nothing
-	// and runs cold.
+	// ShareWarmup groups the distinct runs one SubmitAll batch starts by
+	// core.Config.WarmupFingerprint(): the first run of each group that
+	// misses the Store simulates the shared warmup prefix once and, if
+	// another run of the group is still unfinished when it reaches the
+	// warmup/measure boundary, snapshots it there; those runs fork their
+	// measured phases from the snapshot instead of re-simulating the
+	// warmup. A run alone in its group captures nothing and runs cold, and
+	// runs of different batches never share. The snapshot is garbage once
+	// its group's runs finish.
 	// Forked runs are bit-identical to cold runs, so results — and the
 	// byte-identity invariant across Parallelism settings — are unchanged;
 	// only wall-clock time drops when sweep points share a warmup prefix
@@ -155,9 +158,9 @@ func (o Options) parallelism() int {
 type runEntry struct {
 	cfg core.Config
 	fp  string
-	// wfp is cfg's warmup fingerprint when the run takes part in warmup
-	// sharing (Options.ShareWarmup with a warmup phase), "" otherwise.
-	wfp    string
+	// group is the run's warmup group when it takes part in warmup sharing
+	// (Options.ShareWarmup with a warmup phase), nil otherwise.
+	group  *warmGroup
 	done   chan struct{} // closed when res/err are valid
 	res    core.Result
 	err    error
@@ -192,47 +195,24 @@ type Runner struct {
 	runs      map[string]*runEntry
 	submitted int
 	completed int
-	// warmPending counts registered, unfinished entries per warmup
-	// fingerprint: a group leader captures at its boundary only if another
-	// run of its group is pending (see publishSnapshot).
-	warmPending map[string]int
 
 	cbMu sync.Mutex // serializes OnRunDone callbacks
-
-	// Warmup-sharing state (Options.ShareWarmup): groups keyed by
-	// WarmupFingerprint, plus a bounded cache of published snapshots whose
-	// storage recycles through a dedicated pool. warmMu guards all of it,
-	// including snapPool and freeSnaps — snapshot capture and release
-	// happen under it, so the pool is never shared unlocked.
-	warmMu    sync.Mutex
-	warm      map[string]*warmGroup
-	warmClock uint64
-	snapPool  *core.SystemPool
-	freeSnaps []*core.Snapshot
 }
 
-// maxWarmSnapshots bounds how many published warmup snapshots stay cached:
-// beyond it, the least recently used unreferenced group is released back to
-// the snapshot pool. Groups still referenced by in-flight runs are never
-// evicted, so the bound is soft under extreme concurrency.
-const maxWarmSnapshots = 8
-
-// warmGroup is one warmup-fingerprint group. The first run to attach is the
-// leader: it simulates the warmup and, at the warmup/measure boundary,
-// publishes (closing ready) while its own measured phase continues. It
-// captures a snapshot only if another run of the group is pending by
-// then; alone, it retires the group without one (see publishSnapshot).
-// Followers wait on ready — before acquiring a worker slot, so a parked
-// follower can never starve its leader out of the pool — and fork from
-// snap. A nil snap after ready means the leader failed before the
-// boundary; followers fall back to cold runs.
+// warmGroup is the runs of one SubmitAll batch that share a warmup
+// fingerprint. The first of them to miss the Store leads: it simulates the
+// warmup and, at the warmup/measure boundary, publishes (closing ready)
+// while its own measured phase continues. It captures a snapshot only if
+// another run of the group is unresolved by then (see publish). Followers
+// wait on ready — before acquiring a worker slot, so a parked follower can
+// never starve its leader out of the pool — and fork from snap. A nil snap
+// after ready means the leader captured nothing or failed before the
+// boundary; followers run cold.
 type warmGroup struct {
-	ready chan struct{}
-	snap  *core.Snapshot
-
-	// Guarded by Runner.warmMu.
-	refs    int    // attached in-flight runs; >0 blocks eviction
-	lastUse uint64 // warmClock at last attach, for LRU eviction
+	ready      chan struct{}
+	snap       *core.Snapshot
+	led        atomic.Bool  // set by the run that leads
+	unresolved atomic.Int32 // members not yet finished
 }
 
 // New builds a runner.
@@ -248,12 +228,6 @@ func New(opts Options) *Runner {
 		opts: opts,
 		sem:  make(chan *core.SystemPool, par),
 		runs: map[string]*runEntry{},
-		warm: map[string]*warmGroup{},
-
-		warmPending: map[string]int{},
-	}
-	if opts.ShareWarmup {
-		r.snapPool = core.NewSystemPool()
 	}
 	for i := 0; i < par; i++ {
 		r.sem <- nil // empty slot; its pool is created on first acquisition
@@ -272,28 +246,59 @@ type Future struct {
 	rel sync.Once
 }
 
-// Submit registers cfg for execution and returns its Future. Identical
-// configurations (by Fingerprint) share one simulation. The worker pool
-// stops admitting the run if every attached waiter's context is cancelled
-// before a slot frees up, and an admitted run observes cancellation inside
-// core.Run's event loop once the last waiter detaches.
-func (r *Runner) Submit(ctx context.Context, cfg core.Config) *Future {
-	f, fresh := r.register(ctx, cfg)
-	if fresh {
-		go r.execute(f.e)
+// SubmitAll registers every configuration for execution and returns their
+// Futures in order. Identical configurations (by Fingerprint) — within the
+// batch or against live runs of earlier batches — share one simulation.
+// The worker pool stops admitting a run if every attached waiter's context
+// is cancelled before a slot frees up, and an admitted run observes
+// cancellation inside core.Run's event loop once the last waiter detaches.
+//
+// The whole batch is registered before any of it starts. Under ShareWarmup
+// the runs it newly registers are then grouped by warmup fingerprint, so
+// a group leader counts every batch member sharing its warmup when it
+// decides whether to capture a snapshot, whatever the goroutine timing.
+func (r *Runner) SubmitAll(ctx context.Context, cfgs []core.Config) []*Future {
+	futs := make([]*Future, len(cfgs))
+	var fresh []*runEntry
+	for i, cfg := range cfgs {
+		f, isNew := r.register(ctx, cfg)
+		futs[i] = f
+		if isNew {
+			fresh = append(fresh, f.e)
+		}
 	}
-	return f
+	if r.opts.ShareWarmup {
+		groups := map[string]*warmGroup{}
+		for _, e := range fresh {
+			if e.cfg.WarmupInstructions == 0 {
+				continue
+			}
+			wfp := e.cfg.WarmupFingerprint()
+			g := groups[wfp]
+			if g == nil {
+				g = &warmGroup{ready: make(chan struct{})}
+				groups[wfp] = g
+			}
+			g.unresolved.Add(1)
+			e.group = g
+		}
+	}
+	for _, e := range fresh {
+		go r.execute(e)
+	}
+	return futs
+}
+
+// Submit is SubmitAll of the single configuration cfg.
+func (r *Runner) Submit(ctx context.Context, cfg core.Config) *Future {
+	return r.SubmitAll(ctx, []core.Config{cfg})[0]
 }
 
 // register attaches a future to cfg's entry, creating the entry if no live
-// one exists. fresh reports a new entry, which the caller must start with
-// go r.execute — Submit at once, RunAll once its whole batch is registered.
+// one exists. fresh reports a new entry, which SubmitAll starts once its
+// whole batch is registered.
 func (r *Runner) register(ctx context.Context, cfg core.Config) (f *Future, fresh bool) {
 	fp := cfg.Fingerprint()
-	var wfp string
-	if r.opts.ShareWarmup && cfg.WarmupInstructions > 0 {
-		wfp = cfg.WarmupFingerprint()
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Attach to a live entry — or to a doomed one that nevertheless
@@ -307,12 +312,9 @@ func (r *Runner) register(ctx context.Context, cfg core.Config) (f *Future, fres
 	// register a fresh entry in its place (the doomed run's finish only
 	// evicts the slot if it still owns it).
 	ectx, cancel := context.WithCancel(context.Background())
-	e := &runEntry{cfg: cfg, fp: fp, wfp: wfp, done: make(chan struct{}), ctx: ectx, cancel: cancel, waiters: 1}
+	e := &runEntry{cfg: cfg, fp: fp, done: make(chan struct{}), ctx: ectx, cancel: cancel, waiters: 1}
 	r.runs[fp] = e
 	r.submitted++
-	if wfp != "" {
-		r.warmPending[wfp]++
-	}
 	r.wg.Add(1)
 	return &Future{r: r, e: e, ctx: ctx}, true
 }
@@ -368,7 +370,7 @@ func (f *Future) release() {
 // acquisition first (admission stops on cancellation), then core.Run.
 func (r *Runner) execute(e *runEntry) {
 	defer r.wg.Done()
-	res, cached, forked, err := r.compute(e.ctx, e.cfg, e.wfp)
+	res, cached, forked, err := r.compute(e.ctx, e.cfg, e.group)
 	r.finish(e, res, cached, forked, err)
 }
 
@@ -378,11 +380,11 @@ func (r *Runner) execute(e *runEntry) {
 // neither leak a pool slot nor leave waiters blocked forever.
 //
 // With a Store configured, the persisted result — when present — is
-// returned before any of that machinery engages: no warmup group, no
+// returned before any of that machinery engages: no warmup leadership, no
 // worker slot, no simulation. cached reports that path; forked reports a
-// run that restored its group's warmup snapshot. key is the run's warmup
-// fingerprint, "" when it does not share warmup.
-func (r *Runner) compute(ectx context.Context, cfg core.Config, key string) (res core.Result, cached, forked bool, err error) {
+// run that restored its group's warmup snapshot. g is the run's warmup
+// group, nil when it does not share warmup.
+func (r *Runner) compute(ectx context.Context, cfg core.Config, g *warmGroup) (res core.Result, cached, forked bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: %s under %v: panic: %v", cfg.Benchmark, cfg.Scheme, p)
@@ -394,13 +396,11 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config, key string) (res
 		}
 	}
 	var opts []core.RunOption
-	if key != "" {
-		g, lead := r.attachWarmGroup(key)
-		defer r.detachWarmGroup(key, g)
-		if lead {
+	if g != nil {
+		if g.led.CompareAndSwap(false, true) {
 			published := false
 			opts = append(opts, core.WithWarmupHook(func(s *core.System) {
-				r.publishSnapshot(key, g, s)
+				g.publish(s)
 				published = true
 			}))
 			// If the leader never reaches the boundary (construction error,
@@ -408,7 +408,7 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config, key string) (res
 			// waiting followers fall back to cold runs instead of parking.
 			defer func() {
 				if !published {
-					r.publishSnapshot(key, g, nil)
+					g.publish(nil)
 				}
 			}()
 		} else {
@@ -448,106 +448,18 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config, key string) (res
 	return res, false, forked, err
 }
 
-// attachWarmGroup joins (or founds) the warmup group for key. The founder
-// is the leader; lastUse feeds LRU eviction.
-func (r *Runner) attachWarmGroup(key string) (g *warmGroup, lead bool) {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	g = r.warm[key]
-	if g == nil {
-		g = &warmGroup{ready: make(chan struct{})}
-		r.warm[key] = g
-		lead = true
-	}
-	g.refs++
-	r.warmClock++
-	g.lastUse = r.warmClock
-	return g, lead
-}
-
-// detachWarmGroup drops one reference. A fully detached group whose leader
-// failed is removed so a later submission can retry the warmup; a fully
-// detached group with a snapshot becomes eligible for LRU eviction.
-func (r *Runner) detachWarmGroup(key string, g *warmGroup) {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	g.refs--
-	if g.refs != 0 {
-		return
-	}
-	select {
-	case <-g.ready:
-		if g.snap == nil && r.warm[key] == g {
-			delete(r.warm, key)
-		}
-	default:
-		// A cancelled follower detached before the leader published; the
-		// leader holds its own reference, so the group stays.
-	}
-	r.evictWarmLocked()
-}
-
-// publishSnapshot ends the leader's claim on the warmup boundary and
-// unblocks any followers. s is the system at the boundary, or nil when the
-// leader failed before reaching it. The snapshot is captured only if
-// another run of the group can fork from it: one is registered and
-// unfinished (warmPending > 1; RunAll registers a whole batch before
-// starting any of it, so a batch's grouping does not depend on goroutine
-// timing), or attached (refs > 1, which also covers a run registered
-// after pending was read). A leader alone retires the group instead:
-// it leaves the map, so a later arrival with the same warmup fingerprint
-// founds a fresh group and leads it. A fork is bit-identical to a cold
-// run, so skipping the capture changes cost, never results. Capture draws
-// storage from the dedicated snapshot pool under warmMu; the published
-// snapshot is read-only from here on, so followers fork from it without
-// holding any lock.
-func (r *Runner) publishSnapshot(key string, g *warmGroup, s *core.System) {
-	if s != nil {
-		r.mu.Lock()
-		pending := r.warmPending[key]
-		r.mu.Unlock()
-		r.warmMu.Lock()
-		if pending > 1 || g.refs > 1 {
-			sn := &core.Snapshot{}
-			if n := len(r.freeSnaps); n > 0 {
-				sn = r.freeSnaps[n-1]
-				r.freeSnaps = r.freeSnaps[:n-1]
-			}
-			s.SnapshotInto(sn, r.snapPool)
-			g.snap = sn
-			r.evictWarmLocked()
-		} else if r.warm[key] == g {
-			delete(r.warm, key)
-		}
-		r.warmMu.Unlock()
+// publish ends the leader's claim on the warmup boundary and unblocks the
+// followers. s is the system at the boundary, or nil when the leader failed
+// before reaching it. The snapshot is captured only if another member of
+// the group is unresolved and so may fork from it; a fork is bit-identical
+// to a cold run, so skipping the capture changes cost, never results. The
+// published snapshot is read-only, so followers fork from it without a
+// lock.
+func (g *warmGroup) publish(s *core.System) {
+	if s != nil && g.unresolved.Load() > 1 {
+		g.snap = s.Snapshot()
 	}
 	close(g.ready)
-}
-
-// evictWarmLocked enforces maxWarmSnapshots: while more groups than the
-// bound hold published snapshots, the least recently used unreferenced one
-// is released back to the snapshot pool. Callers hold warmMu.
-func (r *Runner) evictWarmLocked() {
-	for {
-		live := 0
-		var victim *warmGroup
-		var victimKey string
-		for k, g := range r.warm {
-			if g.snap == nil {
-				continue
-			}
-			live++
-			if g.refs == 0 && (victim == nil || g.lastUse < victim.lastUse) {
-				victim, victimKey = g, k
-			}
-		}
-		if live <= maxWarmSnapshots || victim == nil {
-			return
-		}
-		victim.snap.Release(r.snapPool)
-		r.freeSnaps = append(r.freeSnaps, victim.snap)
-		delete(r.warm, victimKey)
-	}
 }
 
 // finish publishes the entry's result. Cancelled entries are evicted from
@@ -564,10 +476,8 @@ func (r *Runner) finish(e *runEntry, res core.Result, cached, forked bool, err e
 	r.mu.Lock()
 	e.res, e.err = res, err
 	e.finished = true
-	if e.wfp != "" {
-		if r.warmPending[e.wfp]--; r.warmPending[e.wfp] == 0 {
-			delete(r.warmPending, e.wfp)
-		}
+	if e.group != nil {
+		e.group.unresolved.Add(-1)
 	}
 	if cancelled {
 		// A doomed entry may already have been replaced by a fresh

@@ -6,31 +6,17 @@ import (
 	"deact/internal/core"
 )
 
-// RunAll submits every configuration and waits for the results in
-// submission order. Duplicate configurations — within the batch or against
-// previously executed runs — share one simulation (identity is
-// Config.Fingerprint()). The error reported is the first failing request
-// in submission order, so error behaviour is deterministic regardless of
-// execution interleaving. On cancellation every future is still waited
-// (and thereby detached), so the worker pool winds down instead of running
-// the rest of the batch in the background.
-//
-// The whole batch is registered before any of it starts, so under
-// ShareWarmup a group leader already counts every batch member sharing its
-// warmup when it decides whether to capture a snapshot.
+// RunAll submits every configuration as one SubmitAll batch and waits for
+// the results in submission order. Duplicate configurations — within the
+// batch or against previously executed runs — share one simulation
+// (identity is Config.Fingerprint()), and under ShareWarmup the batch's
+// runs share warmups with each other. The error reported is the first
+// failing request in submission order, so error behaviour is deterministic
+// regardless of execution interleaving. On cancellation every future is
+// still waited (and thereby detached), so the worker pool winds down
+// instead of running the rest of the batch in the background.
 func (r *Runner) RunAll(ctx context.Context, cfgs []core.Config) ([]core.Result, error) {
-	futs := make([]*Future, len(cfgs))
-	var fresh []*runEntry
-	for i, cfg := range cfgs {
-		f, isNew := r.register(ctx, cfg)
-		futs[i] = f
-		if isNew {
-			fresh = append(fresh, f.e)
-		}
-	}
-	for _, e := range fresh {
-		go r.execute(e)
-	}
+	futs := r.SubmitAll(ctx, cfgs)
 	results := make([]core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	for i, f := range futs {

@@ -130,7 +130,7 @@ func TestRunnerColdStorePersists(t *testing.T) {
 
 // TestRunnerStoreWithShareWarmup: the store hit path must bypass the
 // warmup-sharing machinery without wedging groups — a mixed warm/cold
-// sweep (one config's entry deleted) still completes and heals the gap.
+// sweep (one config the store lacks) still completes and heals the gap.
 func TestRunnerStoreWithShareWarmup(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -146,8 +146,9 @@ func TestRunnerStoreWithShareWarmup(t *testing.T) {
 
 	// Mixed pass: the cold pass's configs all hit; one config the cold
 	// pass never ran must simulate (as a warmup-group leader with no
-	// followers) alongside them. Hits bypass attachWarmGroup entirely, so
-	// no group can wedge waiting for a leader that was served from disk.
+	// followers) alongside them. Hits return before claiming leadership,
+	// so no group can wedge waiting for a leader that was served from
+	// disk; TestStoreHitNeverLeads checks a group that mixes the two.
 	reopened := storeOptions(t, dir)
 	reopened.ShareWarmup = true
 	fresh := cold.config(core.DeACTW, "mcf", nil)

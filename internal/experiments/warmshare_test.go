@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"deact/internal/core"
@@ -73,45 +75,11 @@ func TestSharedWarmupByteIdentical(t *testing.T) {
 		// The sweep has 3 distinct warmup fingerprints (mcf/IFAM,
 		// canl/DeACTN, mcf/IFAM/seed7 — and the duplicate config dedups
 		// before grouping). RunAll registers the batch before starting
-		// it, so every leader sees its followers pending at its warmup
-		// boundary: each group must have published a snapshot, and every
-		// non-leader must have forked from it.
-		if groups, published, _ := warmState(r); groups != 3 || published != 3 {
-			t.Fatalf("parallelism %d: %d groups / %d snapshots, want 3/3", par, groups, published)
-		}
+		// it, so every leader sees its followers unresolved at its warmup
+		// boundary: every non-leader must have forked.
 		if *forked != 4 {
 			t.Fatalf("parallelism %d: %d forked runs, want 4", par, *forked)
 		}
-	}
-}
-
-// TestSharedWarmupEvictionBounded: more distinct warmup groups than
-// maxWarmSnapshots must evict down to the bound once runs detach, releasing
-// snapshot storage back to the pool rather than accumulating it. Each seed
-// runs two measure lengths, so every group has a follower and captures.
-func TestSharedWarmupEvictionBounded(t *testing.T) {
-	o := schedOptions(2)
-	o.ShareWarmup = true
-	r := New(o)
-	var cfgs []core.Config
-	for seed := int64(0); seed < int64(maxWarmSnapshots)+3; seed++ {
-		for _, n := range []uint64{1_000, 2_000} {
-			s, n := seed, n
-			cfgs = append(cfgs, r.config(core.IFAM, "mcf", func(c *core.Config) {
-				c.Seed = s
-				c.MeasureInstructions = n
-			}))
-		}
-	}
-	if _, err := r.RunAll(context.Background(), cfgs); err != nil {
-		t.Fatal(err)
-	}
-	_, live, freed := warmState(r)
-	if live > maxWarmSnapshots {
-		t.Fatalf("%d live snapshots, bound is %d", live, maxWarmSnapshots)
-	}
-	if freed == 0 {
-		t.Fatal("eviction released no snapshot storage to the pool")
 	}
 }
 
@@ -123,25 +91,9 @@ func goldenReportOptions() Options {
 		Benchmarks: []string{"mcf", "canl", "sp", "dc"}, Parallelism: 2, Capacity: true}
 }
 
-// warmState reports how many warmup groups are tracked, how many of them
-// hold a published snapshot, and how many snapshots eviction returned to
-// the pool.
-func warmState(r *Runner) (groups, published, freed int) {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	for _, g := range r.warm {
-		if g.snap != nil {
-			published++
-		}
-	}
-	return len(r.warm), published, len(r.freeSnaps)
-}
-
 // TestSingletonWarmupGroupsSkipCapture: every run of the golden report has
 // its own warmup fingerprint, so under ShareWarmup every run leads a group
-// nobody joins. No leader may capture a snapshot (a capture would leave its
-// group tracked, or its storage in freeSnaps after eviction), no run forks,
-// and the results equal a cold runner's.
+// nobody joins: no run forks, and the results equal a cold runner's.
 func TestSingletonWarmupGroupsSkipCapture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the golden report's 148 runs three times")
@@ -177,10 +129,6 @@ func TestSingletonWarmupGroupsSkipCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups, published, freed := warmState(r); groups != 0 || published != 0 || freed != 0 {
-		t.Fatalf("%d groups / %d snapshots / %d freed after %d singleton runs, want 0/0/0",
-			groups, published, freed, len(cfgs))
-	}
 	want, err := New(goldenReportOptions()).RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -190,10 +138,10 @@ func TestSingletonWarmupGroupsSkipCapture(t *testing.T) {
 	}
 }
 
-// TestLateFollowerRunsCold: a run submitted after its warmup group's leader
-// passed the boundary alone finds no snapshot (none was captured) and no
-// group (the leader retired it). It founds a fresh group, runs cold, and
-// returns what a cold runner returns.
+// TestLateFollowerRunsCold: warmup sharing is scoped to one batch. A run
+// submitted after another run with its warmup fingerprint, in a separate
+// Submit, leads a group of its own: nothing forks, and it returns what a
+// cold runner returns.
 func TestLateFollowerRunsCold(t *testing.T) {
 	ctx := context.Background()
 	o := schedOptions(2)
@@ -223,7 +171,135 @@ func TestLateFollowerRunsCold(t *testing.T) {
 	if *forked != 0 {
 		t.Fatalf("%d forked runs, want 0", *forked)
 	}
-	if groups, published, freed := warmState(r); groups != 0 || published != 0 || freed != 0 {
-		t.Fatalf("%d groups / %d snapshots / %d freed, want 0/0/0", groups, published, freed)
+}
+
+// TestLeaderFailureFollowersRunCold: a group whose leader fails before the
+// warmup boundary captures nothing, and its followers run cold with a cold
+// runner's results. The leader is the first run of its group to reach
+// coreRun — followers call it only after the leader publishes — so failing
+// each warmup fingerprint's first call fails exactly the leaders.
+func TestLeaderFailureFollowersRunCold(t *testing.T) {
+	ctx := context.Background()
+	cold := New(schedOptions(2))
+	cfgs := warmShareBatch(cold)
+	want := make([]core.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := cold.Run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	errLeader := errors.New("leader failed before the warmup boundary")
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	orig := coreRun
+	coreRun = func(ctx context.Context, cfg core.Config, opts ...core.RunOption) (core.Result, error) {
+		mu.Lock()
+		first := !seen[cfg.WarmupFingerprint()]
+		seen[cfg.WarmupFingerprint()] = true
+		mu.Unlock()
+		if first {
+			return core.Result{}, errLeader
+		}
+		return orig(ctx, cfg, opts...)
+	}
+	defer func() { coreRun = orig }()
+
+	o := schedOptions(2)
+	o.ShareWarmup = true
+	var forked *int
+	o.OnRunDone, forked = forkCounter()
+	r := New(o)
+	failed := map[string]int{}
+	for i, f := range r.SubmitAll(ctx, cfgs) {
+		got, err := f.Wait()
+		if errors.Is(err, errLeader) {
+			failed[cfgs[i].WarmupFingerprint()]++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(want[i], got) {
+			t.Fatalf("config %d: follower of a failed leader diverged from a cold run", i)
+		}
+	}
+	// Three groups, one failed leader each; the duplicate of request 0
+	// shares its entry, so it fails only if request 0 led.
+	if len(failed) != 3 {
+		t.Fatalf("failed leaders in %d groups, want 3", len(failed))
+	}
+	if *forked != 0 {
+		t.Fatalf("%d forked runs, want 0", *forked)
+	}
+}
+
+// TestStoreHitNeverLeads: in a batch whose first group member is a Store
+// hit, the hit resolves without leading, and the two members that miss
+// share one warmup: one leads and the other forks from its snapshot.
+func TestStoreHitNeverLeads(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	seedRunner := New(storeOptions(t, dir))
+	measure := func(n uint64) func(*core.Config) {
+		return func(c *core.Config) { c.MeasureInstructions = n }
+	}
+	cfgs := []core.Config{
+		seedRunner.config(core.IFAM, "mcf", measure(1_000)),
+		seedRunner.config(core.IFAM, "mcf", measure(2_000)),
+		seedRunner.config(core.IFAM, "mcf", measure(3_000)),
+	}
+	if _, err := seedRunner.Run(ctx, cfgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(schedOptions(2)).RunAll(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var simulated []string
+	orig := coreRun
+	coreRun = func(ctx context.Context, cfg core.Config, opts ...core.RunOption) (core.Result, error) {
+		mu.Lock()
+		simulated = append(simulated, cfg.Fingerprint())
+		mu.Unlock()
+		return orig(ctx, cfg, opts...)
+	}
+	defer func() { coreRun = orig }()
+
+	o := storeOptions(t, dir)
+	o.ShareWarmup = true
+	forked, cached := 0, 0
+	o.OnRunDone = func(ri RunInfo) {
+		if ri.Forked {
+			forked++
+		}
+		if ri.Cached {
+			cached++
+			if ri.Fingerprint != cfgs[0].Fingerprint() {
+				t.Errorf("config %s served from the store, want only the first", ri.Fingerprint[:8])
+			}
+		}
+	}
+	got, err := New(o).RunAll(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("mixed hit/miss batch diverged from a cold runner")
+	}
+	if cached != 1 || forked != 1 {
+		t.Fatalf("%d cached / %d forked runs, want 1/1", cached, forked)
+	}
+	for _, fp := range simulated {
+		if fp == cfgs[0].Fingerprint() {
+			t.Fatal("the store hit was simulated")
+		}
+	}
+	if len(simulated) != 2 {
+		t.Fatalf("%d simulations, want 2", len(simulated))
 	}
 }

@@ -171,7 +171,7 @@ func TestPrefetchStateRoundTrip(t *testing.T) {
 		}
 	}
 	var st State
-	n.CaptureState(nil, &st)
+	n.CaptureState(&st)
 	want := append([]pfEntry(nil), n.pf.tbl...)
 
 	// Diverge: train a different PC, then restore.

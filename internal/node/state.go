@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+
 	"deact/internal/addr"
 	"deact/internal/arena"
 	"deact/internal/cache"
@@ -29,31 +31,25 @@ type State struct {
 	stats  Stats
 }
 
-// CaptureState captures the node into st, reusing st's storage where it
-// fits and drawing large copies from a (nil allocates normally).
-func (n *Node) CaptureState(a *arena.Arena, st *State) {
+// CaptureState captures the node into st.
+func (n *Node) CaptureState(st *State) {
 	n.dram.CaptureState(&st.dram)
-	n.hier.CaptureState(a, &st.hier)
-	if cap(st.mmus) < len(n.mmus) {
-		grown := make([]tlb.MMUState, len(n.mmus))
-		copy(grown, st.mmus)
-		st.mmus = grown
-	}
-	st.mmus = st.mmus[:len(n.mmus)]
+	n.hier.CaptureState(&st.hier)
+	st.mmus = make([]tlb.MMUState, len(n.mmus))
 	for i, m := range n.mmus {
 		m.CaptureState(&st.mmus[i])
 	}
-	n.pt.CaptureState(a, &st.pt)
+	n.pt.CaptureState(&st.pt)
 	if n.trans != nil {
-		n.trans.CaptureState(a, &st.trans)
+		n.trans.CaptureState(&st.trans)
 	}
 	if n.stuU != nil {
 		n.stuU.CaptureState(&st.stu)
 	}
 	st.osa = *n.osa
-	st.direct = arena.CopyInto(a, "snap.node.direct", st.direct, n.direct)
+	st.direct = slices.Clone(n.direct)
 	if n.pf != nil {
-		st.pf = arena.CopyInto(a, "snap.node.pf", st.pf, n.pf.tbl)
+		st.pf = slices.Clone(n.pf.tbl)
 	}
 	st.stats = n.stats
 }
@@ -86,15 +82,4 @@ func (n *Node) RestoreState(st *State) {
 		copy(n.pf.tbl, st.pf)
 	}
 	n.stats = st.stats
-}
-
-// Release returns st's large copies to a for reuse by later captures.
-func (st *State) Release(a *arena.Arena) {
-	st.hier.Release(a)
-	st.pt.Release(a)
-	st.trans.Release(a)
-	arena.Release(a, "snap.node.direct", st.direct)
-	st.direct = nil
-	arena.Release(a, "snap.node.pf", st.pf)
-	st.pf = nil
 }

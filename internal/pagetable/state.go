@@ -1,6 +1,10 @@
 package pagetable
 
-import "deact/internal/arena"
+import (
+	"slices"
+
+	"deact/internal/arena"
+)
 
 // State is a Table's mutable state for core.System.Snapshot: the whole node
 // arena (each tnode is pointer-free, so a slice copy is a deep copy) plus
@@ -12,10 +16,9 @@ type State struct {
 	tableNodes uint64
 }
 
-// CaptureState captures the table into st, reusing st's storage where it
-// fits and drawing the rest from a (nil allocates normally).
-func (t *Table) CaptureState(a *arena.Arena, st *State) {
-	st.nodes = arena.CopyInto(a, "snap.pagetable.nodes", st.nodes, t.nodes)
+// CaptureState captures the table into st.
+func (t *Table) CaptureState(st *State) {
+	st.nodes = slices.Clone(t.nodes)
 	st.mapped, st.tableNodes = t.mapped, t.tableNodes
 }
 
@@ -27,10 +30,4 @@ func (t *Table) RestoreState(st *State) {
 	t.nodes = arena.Extend(t.nodes[:0], len(st.nodes))
 	copy(t.nodes, st.nodes)
 	t.mapped, t.tableNodes = st.mapped, st.tableNodes
-}
-
-// Release returns st's arrays to a for reuse by later captures.
-func (st *State) Release(a *arena.Arena) {
-	arena.Release(a, "snap.pagetable.nodes", st.nodes)
-	st.nodes = nil
 }

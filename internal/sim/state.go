@@ -1,10 +1,11 @@
 // Snapshot state for the engine and its server calendars. The state types
 // here (and in the component packages) follow one pattern: a value-type
-// XxxState with a CaptureState(*XxxState) that overwrites the target in
-// place — reusing its backing arrays, so repeated captures into a recycled
-// snapshot allocate nothing — and a RestoreState(*XxxState) that copies the
-// state INTO the receiver's own storage. Restore never aliases the state's
-// slices, so two components restored from one state share nothing.
+// XxxState with a CaptureState(*XxxState) that overwrites the target with
+// copies of the receiver's state — a snapshot is a plain value, sharing no
+// storage with the system it came from — and a RestoreState(*XxxState)
+// that copies the state INTO the receiver's own storage. Restore never
+// aliases the state's slices, so two components restored from one state
+// share nothing.
 package sim
 
 // EngineState captures an Engine at a quiescent point: the event queue must

@@ -1,9 +1,6 @@
 package tlb
 
-// Snapshot state for tables, PTW caches and MMUs (core.System.Snapshot). The
-// arrays here are small (tens to hundreds of entries), so the states copy
-// into plain slices reused across captures rather than going through
-// internal/arena.
+// Snapshot state for tables, PTW caches and MMUs (core.System.Snapshot).
 
 // TableState is a Table's mutable state.
 type TableState[V any] struct {

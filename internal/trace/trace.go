@@ -231,8 +231,11 @@ func Decode(data []byte) (*Trace, error) {
 	}
 	bench := string(rest[n : n+int(bl)])
 	rest = rest[n+int(bl):]
+	// Every stream header takes at least 2 bytes (op count and payload
+	// length), so a count the remaining bytes cannot hold is rejected
+	// before it sizes an allocation.
 	sc, n := binary.Uvarint(rest)
-	if n <= 0 || sc == 0 || sc > 1<<20 {
+	if n <= 0 || sc == 0 || sc > uint64(len(rest)-n)/2 {
 		return nil, fmt.Errorf("trace: invalid stream count %d", sc)
 	}
 	rest = rest[n:]

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 
 	"deact/internal/workload"
@@ -9,7 +12,7 @@ import (
 
 // recordOps runs n ops of the named benchmark's generator through a
 // recorder tap and returns both the recorder and the ops it saw.
-func recordOps(t *testing.T, bench string, n int) (*Recorder, []workload.Op) {
+func recordOps(t testing.TB, bench string, n int) (*Recorder, []workload.Op) {
 	t.Helper()
 	p, err := workload.Get(bench)
 	if err != nil {
@@ -173,6 +176,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[len(magic)] = 2 // version
 	if _, err := Decode(bad); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// TestDecodeBoundsStreamCount: a stream count the input cannot hold is
+// rejected before it sizes an allocation. The 13-byte input below claims
+// 1<<20 streams, which once allocated 32 MiB before failing.
+func TestDecodeBoundsStreamCount(t *testing.T) {
+	data := append([]byte(magic), 1, 0) // version 1, empty benchmark name
+	data = binary.AppendUvarint(data, 1<<20)
+	if len(data) != 13 {
+		t.Fatalf("input is %d bytes, want 13", len(data))
+	}
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "invalid stream count") {
+		t.Fatalf("Decode = %v, want an invalid stream count error", err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Decode(data)
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4096 {
+		t.Fatalf("rejecting the stream count allocated %d B per Decode, want ≤ 4096", perRun)
 	}
 }
 

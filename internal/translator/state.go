@@ -1,7 +1,8 @@
 package translator
 
 import (
-	"deact/internal/arena"
+	"slices"
+
 	"deact/internal/rng"
 	"deact/internal/sim"
 )
@@ -18,12 +19,11 @@ type State struct {
 	stats   Stats
 }
 
-// CaptureState captures the translator into st, reusing st's storage where
-// it fits and drawing the rest from a (nil allocates normally).
-func (t *Translator) CaptureState(a *arena.Arena, st *State) {
+// CaptureState captures the translator into st.
+func (t *Translator) CaptureState(st *State) {
 	st.rng = t.rng.State()
-	st.lines = arena.CopyInto(a, "snap.translator.lines", st.lines, t.lines)
-	st.slots = arena.CopyInto(a, "snap.translator.slots", st.slots, t.slots)
+	st.lines = slices.Clone(t.lines)
+	st.slots = slices.Clone(t.slots)
 	st.slotIdx = t.slotIdx
 	st.stats = t.stats
 }
@@ -40,11 +40,4 @@ func (t *Translator) RestoreState(st *State) {
 	copy(t.slots, st.slots)
 	t.slotIdx = st.slotIdx
 	t.stats = st.stats
-}
-
-// Release returns st's arrays to a for reuse by later captures.
-func (st *State) Release(a *arena.Arena) {
-	arena.Release(a, "snap.translator.lines", st.lines)
-	arena.Release(a, "snap.translator.slots", st.slots)
-	st.lines, st.slots = nil, nil
 }
