@@ -26,25 +26,26 @@ func Example() {
 		Cores:       2,      // cores per node
 		Seed:        42,     // drives all randomness, end to end
 		Parallelism: 0,      // worker-pool slots; 0 = GOMAXPROCS, 1 = serial
-		ShareWarmup: true,   // fork measured phases from shared warmup snapshots
+		ShareWarmup: true,   // runs of one batch sharing a warmup fork from one snapshot
 		OnRunDone: func(ri experiments.RunInfo) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d", ri.Completed, ri.Submitted)
 		},
 	})
 	defer runner.WaitIdle()
 
-	// Submit both schemes at once; equal fingerprints would share one
-	// simulation, and each worker slot recycles construction memory
-	// (core.SystemPool) across the runs it executes.
-	var futures []*experiments.Future
+	// Submit both schemes as one batch: equal fingerprints would share one
+	// simulation, warmup sharing happens only within a batch, and each
+	// worker slot recycles construction memory (core.SystemPool) across
+	// the runs it executes.
+	var cfgs []core.Config
 	for _, scheme := range []core.Scheme{core.IFAM, core.DeACTN} {
 		cfg := core.DefaultConfig()
 		cfg.Scheme = scheme
 		cfg.Benchmark = "mcf"
-		futures = append(futures, runner.Submit(ctx, cfg))
+		cfgs = append(cfgs, cfg)
 	}
 	var results []core.Result
-	for _, fut := range futures {
+	for _, fut := range runner.SubmitAll(ctx, cfgs) {
 		r, err := fut.Wait() // returns this waiter's ctx.Err() if cancelled
 		if err != nil {
 			panic(err)

@@ -159,7 +159,8 @@ type runEntry struct {
 	cfg core.Config
 	fp  string
 	// group is the run's warmup group when it takes part in warmup sharing
-	// (Options.ShareWarmup with a warmup phase), nil otherwise.
+	// (Options.ShareWarmup with a warmup phase), nil otherwise. finish
+	// clears it under Runner.mu.
 	group  *warmGroup
 	done   chan struct{} // closed when res/err are valid
 	res    core.Result
@@ -477,7 +478,11 @@ func (r *Runner) finish(e *runEntry, res core.Result, cached, forked bool, err e
 	e.res, e.err = res, err
 	e.finished = true
 	if e.group != nil {
+		// Drop the entry's reference to its group: a finished entry stays in
+		// r.runs as the dedup cache, and the group must not keep its
+		// snapshot alive past the group's last run.
 		e.group.unresolved.Add(-1)
+		e.group = nil
 	}
 	if cancelled {
 		// A doomed entry may already have been replaced by a fresh

@@ -80,6 +80,16 @@ func TestSharedWarmupByteIdentical(t *testing.T) {
 		if *forked != 4 {
 			t.Fatalf("parallelism %d: %d forked runs, want 4", par, *forked)
 		}
+		// Finished entries stay in the dedup cache; none may still hold
+		// its warmup group, or every captured snapshot would outlive the
+		// batch for the Runner's lifetime.
+		r.mu.Lock()
+		for fp, e := range r.runs {
+			if e.group != nil {
+				t.Errorf("parallelism %d: finished run %s still holds its warmup group", par, fp[:8])
+			}
+		}
+		r.mu.Unlock()
 	}
 }
 
