@@ -204,6 +204,13 @@ func (c *Cache) Probe(a uint64) bool {
 // whether the access hit and, on an allocation that displaced a valid block,
 // the victim.
 func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted bool) {
+	hit, _, victim, evicted = c.access(a, write)
+	return hit, victim, evicted
+}
+
+// access is Access that also returns the index of the line that now holds
+// the block, which the hierarchy keys its per-line presence bits by.
+func (c *Cache) access(a uint64, write bool) (hit bool, line uint64, victim Victim, evicted bool) {
 	set, tag := c.index(a)
 	base := set * uint64(c.ways)
 
@@ -214,7 +221,7 @@ func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted b
 			c.dirty[i] = true
 		}
 		c.hits++
-		return true, Victim{}, false
+		return true, i, Victim{}, false
 	}
 	for w := 0; w < c.ways; w++ {
 		i := base + uint64(w)
@@ -226,7 +233,7 @@ func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted b
 			c.order[set] = promote(word, findPos(word, uint64(w)), uint64(w))
 			c.mruWay[set] = uint16(w)
 			c.hits++
-			return true, Victim{}, false
+			return true, i, Victim{}, false
 		}
 	}
 
@@ -245,7 +252,7 @@ func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted b
 	c.order[set] = promote(word, uint(c.ways-1), vw)
 	c.mruWay[set] = uint16(vw)
 	c.inserted++
-	return false, victim, evicted
+	return false, lruIdx, victim, evicted
 }
 
 // reconstruct rebuilds a block address from a line index and tag.

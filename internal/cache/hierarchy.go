@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deact/internal/arena"
 )
@@ -65,10 +66,21 @@ func (c HierarchyConfig) Validate() error {
 // Hierarchy is an inclusive three-level cache hierarchy: private L1 and L2
 // per core, one shared L3. Inclusivity is enforced by back-invalidating L1
 // and L2 when the L3 evicts a block.
+//
+// Back-invalidation is filtered by one presence byte per L3 line. Bit
+// core%8 is set whenever that core's access reaches the L3, and the byte is
+// reset when the line is refilled. A block can sit in a core's L1 or L2
+// only if that core's access reached the L3 after the block's last fill
+// there, so the set bits are a superset of the block's upper-level holders:
+// exact up to 8 cores, conservative beyond (bit b stands for cores b, b+8,
+// …). An eviction back-invalidates only the cores whose bit is set, which
+// changes nothing observable — invalidating a cache that does not hold the
+// block is a no-op.
 type Hierarchy struct {
-	l1, l2 []*Cache
-	l3     *Cache
-	wbBuf  []uint64 // reused writeback scratch, returned by Access
+	l1, l2   []*Cache
+	l3       *Cache
+	presence []uint8  // per L3 line: which cores (mod 8) may hold it above
+	wbBuf    []uint64 // reused writeback scratch, returned by Access
 }
 
 // NewHierarchy builds the hierarchy.
@@ -77,7 +89,8 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 }
 
 // NewHierarchyInArena is NewHierarchy drawing every cache's line arrays
-// from a (nil allocates normally). Recycle returns them.
+// and the L3 presence bytes from a (nil allocates normally). Recycle
+// returns them.
 func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -100,17 +113,21 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 	if err != nil {
 		return nil, err
 	}
+	h.presence = arena.Slice[uint8](a, "cache.presence", len(h.l3.tags))
 	return h, nil
 }
 
-// Recycle returns every cache's line arrays to a for the next run's
-// construction. The hierarchy must not be used afterwards.
+// Recycle returns every cache's line arrays and the presence bytes to a
+// for the next run's construction. The hierarchy must not be used
+// afterwards.
 func (h *Hierarchy) Recycle(a *arena.Arena) {
 	for i := range h.l1 {
 		h.l1[i].recycle(a)
 		h.l2[i].recycle(a)
 	}
 	h.l3.recycle(a)
+	arena.Release(a, "cache.presence", h.presence)
+	h.presence = nil
 }
 
 // Access performs a load or store by core on the physical block containing
@@ -132,17 +149,27 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 	if hit, _, _ := l2.Access(a, write); hit {
 		return L2, nil
 	}
-	hit, victim, evicted := h.l3.Access(a, write)
+	hit, line, victim, evicted := h.l3.access(a, write)
+	bit := uint8(1) << (core & 7)
+	if hit {
+		h.presence[line] |= bit
+		return L3, writebacks
+	}
+	holders := h.presence[line]
+	h.presence[line] = bit
 	if evicted {
-		// Inclusive hierarchy: the departing L3 block must vanish from all
-		// upper levels; any dirty upper copy joins the writeback.
+		// Inclusive hierarchy: the departing L3 block must vanish from the
+		// upper levels of every core that may hold it; any dirty upper copy
+		// joins the writeback.
 		dirty := victim.Dirty
-		for i := range h.l1 {
-			if _, d := h.l1[i].Invalidate(victim.Addr); d {
-				dirty = true
-			}
-			if _, d := h.l2[i].Invalidate(victim.Addr); d {
-				dirty = true
+		for ; holders != 0; holders &= holders - 1 {
+			for i := bits.TrailingZeros8(holders); i < len(h.l1); i += 8 {
+				if _, d := h.l1[i].Invalidate(victim.Addr); d {
+					dirty = true
+				}
+				if _, d := h.l2[i].Invalidate(victim.Addr); d {
+					dirty = true
+				}
 			}
 		}
 		if dirty {
@@ -152,9 +179,6 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 			// write-barrier cost on the miss path.
 			h.wbBuf = writebacks
 		}
-	}
-	if hit {
-		return L3, writebacks
 	}
 	return Memory, writebacks
 }

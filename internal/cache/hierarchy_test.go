@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func smallHierarchy(t *testing.T, cores int) *Hierarchy {
 	t.Helper()
@@ -123,5 +129,91 @@ func TestHitLevelString(t *testing.T) {
 		if lvl.String() != want {
 			t.Errorf("String(%d) = %q, want %q", int(lvl), lvl.String(), want)
 		}
+	}
+}
+
+// unfilteredAccess is Hierarchy.Access without the presence filter, kept as
+// its oracle: every L3 eviction back-invalidates the L1 and L2 of every
+// core. It drives h's caches directly and never reads or writes h's
+// presence bytes.
+func unfilteredAccess(h *Hierarchy, core int, a uint64, write bool) (HitLevel, []uint64) {
+	if hit, _, _ := h.l1[core].Access(a, write); hit {
+		return L1, nil
+	}
+	if hit, _, _ := h.l2[core].Access(a, write); hit {
+		return L2, nil
+	}
+	hit, victim, evicted := h.l3.Access(a, write)
+	var writebacks []uint64
+	if evicted {
+		dirty := victim.Dirty
+		for i := range h.l1 {
+			if _, d := h.l1[i].Invalidate(victim.Addr); d {
+				dirty = true
+			}
+			if _, d := h.l2[i].Invalidate(victim.Addr); d {
+				dirty = true
+			}
+		}
+		if dirty {
+			writebacks = append(writebacks, victim.Addr)
+		}
+	}
+	if hit {
+		return L3, writebacks
+	}
+	return Memory, writebacks
+}
+
+// cacheStates captures every cache of h, L1s and L2s in core order, then
+// the L3: line arrays and counters, everything but the presence bytes.
+func cacheStates(h *Hierarchy) []State {
+	var out []State
+	for _, c := range append(append(append([]*Cache{}, h.l1...), h.l2...), h.l3) {
+		var st State
+		c.CaptureState(&st)
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestPresenceFilterMatchesUnfiltered drives random multi-core streams
+// through a presence-filtered hierarchy and the unfiltered oracle. Every
+// access must be served at the same level with the same writebacks, and
+// every cache's lines and counters must stay identical. Twelve cores
+// exercise the mod-8 aliasing of the presence bits; tiny levels force a
+// back-invalidation on most L3 misses. Halfway through, the filtered
+// hierarchy's state is captured and restored into a fresh hierarchy, which
+// continues the stream: the presence bytes must survive the round trip.
+func TestPresenceFilterMatchesUnfiltered(t *testing.T) {
+	for _, cores := range []int{1, 4, 12} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			h, ref := smallHierarchy(t, cores), smallHierarchy(t, cores)
+			rng := rand.New(rand.NewSource(int64(cores)))
+			const steps = 20000
+			for step := 0; step < steps; step++ {
+				if step == steps/2 {
+					var st HierarchyState
+					h.CaptureState(&st)
+					h = smallHierarchy(t, cores)
+					h.RestoreState(&st)
+				}
+				core := rng.Intn(cores)
+				a := uint64(rng.Intn(48)) * 64
+				write := rng.Intn(4) == 0
+				lvl, wbs := h.Access(core, a, write)
+				wantLvl, wantWbs := unfilteredAccess(ref, core, a, write)
+				if lvl != wantLvl || !slices.Equal(wbs, wantWbs) {
+					t.Fatalf("step %d (core %d, %#x): got %v %v, oracle %v %v",
+						step, core, a, lvl, wbs, wantLvl, wantWbs)
+				}
+				if step%1000 == 0 && !reflect.DeepEqual(cacheStates(h), cacheStates(ref)) {
+					t.Fatalf("step %d: cache state diverged from the oracle", step)
+				}
+			}
+			if !reflect.DeepEqual(cacheStates(h), cacheStates(ref)) {
+				t.Fatal("final cache state diverged from the oracle")
+			}
+		})
 	}
 }

@@ -40,11 +40,13 @@ func (c *Cache) RestoreState(st *State) {
 	c.hits, c.misses, c.inserted = st.hits, st.misses, st.inserted
 }
 
-// HierarchyState captures every level of a Hierarchy. The writeback scratch
-// buffer is not state: its contents never survive an Access call.
+// HierarchyState captures every level of a Hierarchy and the L3 presence
+// bytes. The writeback scratch buffer is not state: its contents never
+// survive an Access call.
 type HierarchyState struct {
-	l1, l2 []State
-	l3     State
+	l1, l2   []State
+	l3       State
+	presence []uint8
 }
 
 // CaptureState captures the hierarchy into st.
@@ -56,16 +58,18 @@ func (h *Hierarchy) CaptureState(st *HierarchyState) {
 		h.l2[i].CaptureState(&st.l2[i])
 	}
 	h.l3.CaptureState(&st.l3)
+	st.presence = slices.Clone(h.presence)
 }
 
 // RestoreState rewinds the hierarchy to st.
 func (h *Hierarchy) RestoreState(st *HierarchyState) {
-	if len(st.l1) != len(h.l1) {
-		panic("cache: RestoreState hierarchy core count mismatch")
+	if len(st.l1) != len(h.l1) || len(st.presence) != len(h.presence) {
+		panic("cache: RestoreState hierarchy geometry mismatch")
 	}
 	for i := range h.l1 {
 		h.l1[i].RestoreState(&st.l1[i])
 		h.l2[i].RestoreState(&st.l2[i])
 	}
 	h.l3.RestoreState(&st.l3)
+	copy(h.presence, st.presence)
 }

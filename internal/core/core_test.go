@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -74,6 +75,27 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestHugeMaxOutstandingRuns: Validate accepts any positive miss window,
+// so a 2^40-entry one (as one POST /run body can ask for) must build and
+// run, not die in a multi-terabyte preallocation.
+func TestHugeMaxOutstandingRuns(t *testing.T) {
+	cfg := quickConfig(DeACTN, "mcf")
+	if err := json.Unmarshal([]byte(`{"MaxOutstanding":1099511627776}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.WarmupInstructions, cfg.MeasureInstructions = 200, 300
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Instructions < 300 {
+		t.Fatalf("measured %d instructions, want >= 300", r.Instructions)
 	}
 }
 

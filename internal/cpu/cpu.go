@@ -15,8 +15,9 @@
 // in-order schedule.
 //
 // A Core is a self-rescheduling sim.Handler: its steady-state event chain
-// allocates nothing (the outstanding window is a fixed sorted ring, the
-// OoO scheduler three scalar fields), and retirement order is a
+// allocates nothing (the outstanding window is a slice sorted latest-first
+// that never outgrows its preallocated capacity at MaxOutstanding <= 64,
+// the OoO scheduler three scalar fields), and retirement order is a
 // deterministic function of the generator stream and the access latencies
 // it observes.
 package cpu
@@ -85,66 +86,51 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// window tracks the completion times of in-flight independent references as
-// a sorted ring: the head is always the earliest completion, so the
-// full-window stall ("wait for the earliest slot") and the drain of
-// completed references are O(1) per reference, with no per-op allocation.
-// Insertion keeps the ring sorted with a bounded memmove (the window is at
-// most MaxOutstanding = 32 entries).
-type window struct {
-	buf  []sim.Time
-	head int
-	n    int
-}
+// window holds the completion times of in-flight independent references,
+// sorted latest-first, so the earliest completion is the last element: the
+// full-window stall reads it and the drain of completed references pops it.
+// A new completion is usually earlier than most in-flight misses (an L1 hit
+// on a prefetched block), so insert walks in from the end and moves only
+// the entries that complete before it.
+type window []sim.Time
 
-func newWindow(capacity int) window { return window{buf: make([]sim.Time, capacity)} }
+// maxWindowPrealloc caps the capacity newWindow reserves: MaxOutstanding is
+// an unbounded config value, and append grows the window past the cap when
+// a run really keeps that many references in flight.
+const maxWindowPrealloc = 64
+
+func newWindow(capacity int) window { return make(window, 0, min(capacity, maxWindowPrealloc)) }
 
 // min returns the earliest outstanding completion. The window must be
 // non-empty.
-func (w *window) min() sim.Time { return w.buf[w.head] }
+func (w window) min() sim.Time { return w[len(w)-1] }
 
-// idx maps a logical window position to its ring slot without the modulo
-// the hot path otherwise pays per element (head+i < 2·len always holds).
-func (w *window) idx(i int) int {
-	j := w.head + i
-	if c := len(w.buf); j >= c {
-		j -= c
-	}
-	return j
-}
+// max returns the latest outstanding completion. The window must be
+// non-empty.
+func (w window) max() sim.Time { return w[0] }
 
-// insert adds a completion time, keeping the ring sorted.
+// insert adds a completion time, keeping the window sorted latest-first.
 func (w *window) insert(t sim.Time) {
-	// Binary search for the first element > t among the n sorted entries.
-	lo, hi := 0, w.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.buf[w.idx(mid)] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	s := append(*w, t)
+	i := len(s) - 1
+	for ; i > 0 && s[i-1] < t; i-- {
+		s[i] = s[i-1]
 	}
-	// Shift entries lo..n-1 one slot toward the tail.
-	for i := w.n; i > lo; i-- {
-		w.buf[w.idx(i)] = w.buf[w.idx(i-1)]
-	}
-	w.buf[w.idx(lo)] = t
-	w.n++
+	s[i] = t
+	*w = s
 }
 
 // drain removes every completion at or before now.
 func (w *window) drain(now sim.Time) {
-	for w.n > 0 && w.buf[w.head] <= now {
-		if w.head++; w.head == len(w.buf) {
-			w.head = 0
-		}
-		w.n--
+	s := *w
+	for len(s) > 0 && s[len(s)-1] <= now {
+		s = s[:len(s)-1]
 	}
+	*w = s
 }
 
 // reset empties the window.
-func (w *window) reset() { w.head, w.n = 0, 0 }
+func (w *window) reset() { *w = (*w)[:0] }
 
 // Core is one simulated core, driven as a state machine on the engine. It
 // implements sim.Handler, so steady-state stepping schedules zero
@@ -155,9 +141,7 @@ type Core struct {
 	access AccessFunc
 	engine *sim.Engine
 
-	win    window   // in-flight independent references, sorted by completion
-	winMax sim.Time // latest completion ever inserted (drains are a sorted
-	// prefix, so when the window is non-empty this is its maximum)
+	win window // in-flight independent references, latest completion first
 
 	// OoO scheduler state (zero in the in-order model and at quiescence).
 	depReady  sim.Time // completion time of the last chain load (the chain register)
@@ -245,14 +229,11 @@ func (c *Core) step(now sim.Time) {
 		// Independent reference: occupy an outstanding slot; stall only
 		// when the window is full.
 		c.win.drain(issueAt)
-		if c.win.n == c.cfg.MaxOutstanding {
+		if len(c.win) == c.cfg.MaxOutstanding {
 			if earliest := c.win.min(); earliest > next {
 				next = earliest
 			}
 			c.win.drain(next)
-		}
-		if done > c.winMax {
-			c.winMax = done
 		}
 		c.win.insert(done)
 	}
@@ -320,14 +301,11 @@ func (c *Core) stepOoO(now sim.Time) {
 		// Independent reference: occupy an outstanding slot; stall only
 		// when the miss window is full (identical to the in-order model).
 		c.win.drain(issueAt)
-		if c.win.n == c.cfg.MaxOutstanding {
+		if len(c.win) == c.cfg.MaxOutstanding {
 			if earliest := c.win.min(); earliest > next {
 				next = earliest
 			}
 			c.win.drain(next)
-		}
-		if done > c.winMax {
-			c.winMax = done
 		}
 		c.win.insert(done)
 		// Run-ahead accounting against the pending chain load: each issued
@@ -351,14 +329,13 @@ func (c *Core) stepOoO(now sim.Time) {
 // either model.
 func (c *Core) retire(now sim.Time) {
 	end := now
-	if c.win.n > 0 && c.winMax > end {
-		end = c.winMax
+	if len(c.win) > 0 && c.win.max() > end {
+		end = c.win.max()
 	}
 	if c.chainPend > end {
 		end = c.chainPend
 	}
 	c.win.reset()
-	c.winMax = 0
 	c.depReady, c.chainPend, c.ahead = 0, 0, 0
 	c.finishedAt = end
 	c.done = true

@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"deact/internal/sim"
@@ -172,40 +174,111 @@ func TestSetBudgetResumesAfterRetirement(t *testing.T) {
 	}
 }
 
-// TestWindowFillDrainRetireEdges drives the sorted outstanding ring through
-// its edge cases directly: fill to capacity, stall on the earliest slot,
-// drain completed prefixes, and retire at the latest in-flight completion.
+// TestWindowFillDrainRetireEdges drives the sorted outstanding window
+// through its edge cases directly: fill to capacity, stall on the earliest
+// slot, drain completed suffixes, and retire at the latest in-flight
+// completion.
 func TestWindowFillDrainRetireEdges(t *testing.T) {
 	w := newWindow(4)
 	// Out-of-order completions must come back min-first.
 	for _, v := range []sim.Time{40, 10, 30, 20} {
 		w.insert(v)
 	}
-	if w.n != 4 || w.min() != 10 {
-		t.Fatalf("after fill: n=%d min=%d, want 4/10", w.n, w.min())
+	if len(w) != 4 || w.min() != 10 {
+		t.Fatalf("after fill: n=%d min=%d, want 4/10", len(w), w.min())
 	}
-	// Drain removes exactly the completed prefix.
+	// Drain removes exactly the completed entries.
 	w.drain(20)
-	if w.n != 2 || w.min() != 30 {
-		t.Fatalf("after drain(20): n=%d min=%d, want 2/30", w.n, w.min())
+	if len(w) != 2 || w.min() != 30 {
+		t.Fatalf("after drain(20): n=%d min=%d, want 2/30", len(w), w.min())
 	}
-	// Refill past the wrap point of the ring.
-	w.insert(5) // lands below the current min: must become the new head
+	// Refill to capacity after a drain.
+	w.insert(5) // lands below the current min: must become the new minimum
 	if w.min() != 5 {
 		t.Fatalf("min after low insert = %d, want 5", w.min())
 	}
 	w.insert(35)
-	if w.n != 4 {
-		t.Fatalf("n = %d, want 4 (full)", w.n)
+	if len(w) != 4 {
+		t.Fatalf("n = %d, want 4 (full)", len(w))
 	}
 	// Duplicate timestamps drain together.
 	w.drain(35)
-	if w.n != 1 || w.min() != 40 {
-		t.Fatalf("after drain(35): n=%d min=%d, want 1/40", w.n, w.min())
+	if len(w) != 1 || w.min() != 40 {
+		t.Fatalf("after drain(35): n=%d min=%d, want 1/40", len(w), w.min())
 	}
 	w.reset()
-	if w.n != 0 {
+	if len(w) != 0 {
 		t.Fatal("reset kept entries")
+	}
+}
+
+// TestWindowMatchesSortedMultiset is the window's randomized oracle: a
+// naive sorted multiset follows the same insert/drain/reset stream, and
+// after every operation the window must hold exactly its elements, with
+// the same length, minimum and maximum. Capacities run from 1 to 64 and
+// timestamps come from a narrow range, so duplicates are common; inserts
+// follow the core's protocol of never exceeding the capacity.
+func TestWindowMatchesSortedMultiset(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 4))
+	for capacity := 1; capacity <= 64; capacity++ {
+		w := newWindow(capacity)
+		var ref []sim.Time // ascending
+		for step := 0; step < 2000; step++ {
+			switch r := rng.IntN(100); {
+			case r < 55 && len(ref) < capacity:
+				v := sim.Time(rng.IntN(4 * capacity))
+				w.insert(v)
+				i, _ := slices.BinarySearch(ref, v)
+				ref = slices.Insert(ref, i, v)
+			case r < 99:
+				now := sim.Time(rng.IntN(4 * capacity))
+				w.drain(now)
+				ref = slices.DeleteFunc(ref, func(x sim.Time) bool { return x <= now })
+			default:
+				w.reset()
+				ref = ref[:0]
+			}
+			if len(w) != len(ref) {
+				t.Fatalf("cap %d step %d: len %d, oracle %d", capacity, step, len(w), len(ref))
+			}
+			got := slices.Clone(w)
+			slices.Reverse(got)
+			if !slices.Equal(got, ref) {
+				t.Fatalf("cap %d step %d: window %v, oracle %v", capacity, step, []sim.Time(w), ref)
+			}
+			if len(ref) > 0 && (w.min() != ref[0] || w.max() != ref[len(ref)-1]) {
+				t.Fatalf("cap %d step %d: min/max %d/%d, oracle %d/%d",
+					capacity, step, w.min(), w.max(), ref[0], ref[len(ref)-1])
+			}
+		}
+	}
+}
+
+// TestHugeOutstandingWindowRuns: MaxOutstanding is unbounded above, so the
+// window must not preallocate it. A 2^40-entry window used to be one
+// multi-terabyte allocation at New, which is a fatal runtime error. Every
+// access here outlives the run, so the window also grows past its
+// preallocated capacity.
+func TestHugeOutstandingWindowRuns(t *testing.T) {
+	c := cfg(500)
+	c.MaxOutstanding = 1 << 40
+	const lat = sim.Time(1_000_000)
+	var lastDone sim.Time
+	core, err := New(c, testGen(t, 0), func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		lastDone = now + lat
+		return lastDone, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	core.Start(e)
+	e.Run(0)
+	if !core.Done() || core.Instructions() < 500 || core.MemOps() <= maxWindowPrealloc {
+		t.Fatalf("core retired %d instructions, %d references", core.Instructions(), core.MemOps())
+	}
+	if core.FinishedAt() != lastDone {
+		t.Fatalf("FinishedAt %d, want the last completion %d", core.FinishedAt(), lastDone)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 
 // State is a Core's mutable state for core.System.Snapshot, captured only
 // at a quiescent point: the core has retired its budget (done, no error, an
-// empty outstanding window, a drained OoO scheduler), so the window ring,
-// winMax and the chain-register state are structurally zero and the state
-// reduces to the counters, the retirement time and the generator's stream
-// position — under either timing model. The engine pointer and access
-// callback are wiring, re-established by Start.
+// empty outstanding window, a drained OoO scheduler), so the window and the
+// chain-register state are structurally zero and the state reduces to the
+// counters, the retirement time and the generator's stream position —
+// under either timing model. The engine pointer and access callback are
+// wiring, re-established by Start.
 type State struct {
 	instrs     uint64
 	memOps     uint64
@@ -25,7 +25,7 @@ type State struct {
 // pending engine event, neither of which can be restored into a fresh
 // engine.
 func (c *Core) CaptureState(st *State) {
-	if !c.done || c.err != nil || c.win.n != 0 || c.winMax != 0 ||
+	if !c.done || c.err != nil || len(c.win) != 0 ||
 		c.depReady != 0 || c.chainPend != 0 || c.ahead != 0 {
 		panic("cpu: CaptureState on a non-quiescent core")
 	}
@@ -43,7 +43,6 @@ func (c *Core) RestoreState(st *State) {
 	c.done = true
 	c.err = nil
 	c.win.reset()
-	c.winMax = 0
 	c.depReady, c.chainPend, c.ahead = 0, 0, 0
 	c.gen.RestoreState(st.gen)
 }
