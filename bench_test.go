@@ -17,8 +17,6 @@ import (
 	"deact/internal/acm"
 	"deact/internal/addr"
 	"deact/internal/broker"
-	"deact/internal/cache"
-	"deact/internal/core"
 	"deact/internal/experiments"
 	"deact/internal/stats"
 	"deact/internal/tlb"
@@ -104,23 +102,6 @@ func BenchmarkFigures(b *testing.B) {
 
 // ——— micro-benchmarks of the hot simulator paths ———
 
-// BenchmarkCacheHierarchyAccess streams through the full three-level
-// hierarchy; the per-level hit/miss/eviction mixes live in
-// internal/cache's BenchmarkCacheAccess.
-func BenchmarkCacheHierarchyAccess(b *testing.B) {
-	h, err := cache.NewHierarchy(cache.HierarchyConfig{
-		Cores: 1, L1Size: 8 << 10, L1Ways: 8, L2Size: 64 << 10, L2Ways: 8,
-		L3Size: 256 << 10, L3Ways: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(0, uint64(i*64)%(1<<22), i%4 == 0)
-	}
-}
-
 func BenchmarkTLBLookup(b *testing.B) {
 	m, err := tlb.NewMMU("bench", tlb.MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
 	if err != nil {
@@ -137,7 +118,7 @@ func BenchmarkTLBLookup(b *testing.B) {
 
 func BenchmarkBrokerAllocate(b *testing.B) {
 	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
-	brk, err := broker.New(l, 1)
+	brk, err := broker.New(nil, l, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -155,41 +136,13 @@ func BenchmarkBrokerAllocate(b *testing.B) {
 
 func BenchmarkACMCheck(b *testing.B) {
 	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
-	s := acm.NewStore(l)
+	s := acm.NewStore(nil, l)
 	for p := addr.FPage(0); p < 4096; p++ {
 		s.Set(p, acm.Entry{Owner: uint16(p) % 63, Perm: acm.PermRWX})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Check(addr.FPage(i)%4096, uint16(i)%63, acm.PermR)
-	}
-}
-
-// BenchmarkEndToEnd measures whole-system simulation throughput
-// (instructions simulated per wall second) for each scheme.
-func BenchmarkEndToEnd(b *testing.B) {
-	measure := uint64(50_000)
-	if testing.Short() {
-		measure = 10_000
-	}
-	for _, scheme := range core.Schemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			var instr uint64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Benchmark = "mcf"
-				cfg.CoresPerNode = 1
-				cfg.WarmupInstructions = 0
-				cfg.MeasureInstructions = measure
-				r, err := core.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instr += r.Instructions
-			}
-			b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")
-		})
 	}
 }
 

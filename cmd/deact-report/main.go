@@ -56,7 +56,8 @@ func run(ctx context.Context, args []string) error {
 		pfSec  = fs.Bool("prefetch", false, "append the prefetch-interaction section (IPC vs stream-prefetch degree across workload shapes); strictly additive to the base report")
 		mlpSec = fs.Bool("mlp", false, "append the memory-level-parallelism section (IPC vs OoO scheduling-window size in ops, across workload dependence shapes); strictly additive to the base report")
 	)
-	scale := cli.ScaleFlags(fs, 80_000, 60_000, 2)
+	defaults := experiments.DefaultOptions()
+	scale := cli.ScaleFlags(fs, defaults.Warmup, defaults.Measure, defaults.Cores)
 	runner := cli.RunnerFlags(fs)
 	prof := cli.ProfilingFlags(fs, "the full report run")
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here

@@ -70,7 +70,8 @@ func main() {
 
 func run(ctx context.Context) error {
 	addr := flag.String("addr", "localhost:8371", "listen address")
-	scale := cli.ScaleFlags(flag.CommandLine, 80_000, 60_000, 2)
+	defaults := experiments.DefaultOptions()
+	scale := cli.ScaleFlags(flag.CommandLine, defaults.Warmup, defaults.Measure, defaults.Cores)
 	runnerFlags := cli.RunnerFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -54,6 +54,7 @@ import (
 
 	"deact/internal/cli"
 	"deact/internal/experiments"
+	"deact/internal/workload"
 )
 
 func main() {
@@ -103,6 +104,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if !slices.Contains(experiments.SweepNames(), *sweep) {
 		return usageError(fmt.Sprintf("unknown sweep %q", *sweep))
 	}
+	for _, f := range []struct{ flag, name string }{{"-steady", *steady}, {"-noisy", *noisy}} {
+		if _, err := workload.Get(f.name); err != nil {
+			return usageError(fmt.Sprintf("%s: %v", f.flag, err))
+		}
+	}
+	opts, err := runnerFlags.Options(scale)
+	if errors.Is(err, cli.ErrUnknownBenchmark) {
+		return usageError(err.Error())
+	} else if err != nil {
+		return err
+	}
 
 	stopCPU, err := prof.Start("deact-sweep")
 	if err != nil {
@@ -110,10 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopCPU()
 
-	opts, err := runnerFlags.Options(scale)
-	if err != nil {
-		return err
-	}
 	opts.SteadyBenchmark, opts.NoisyBenchmark, opts.BrokerShards = *steady, *noisy, *shards
 	opts.OnRunDone = cli.ProgressPrinter(stderr)
 	r := experiments.New(opts)

@@ -57,6 +57,30 @@ func TestUnknownSweepExitsTwo(t *testing.T) {
 	}
 }
 
+// TestBadBenchmarkNamesExitTwo: an unknown or empty -benchmarks name and
+// an unknown -steady/-noisy benchmark are usage errors (exit 2) caught
+// before any run, so nothing is printed.
+func TestBadBenchmarkNamesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-benchmarks", "nosuch"},
+		{"-benchmarks", "mcf,"},
+		{"-steady", "nosuch"},
+		{"-noisy", "nosuch"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), append([]string{"-sweep", "stu"}, args...), &out, io.Discard)
+		if err == nil || exitCode(err) != 2 {
+			t.Fatalf("%v: err %v, exit %d; want exit 2", args, err, exitCode(err))
+		}
+		if !strings.Contains(err.Error(), "nosuch") && !strings.Contains(err.Error(), `""`) {
+			t.Errorf("%v: error %q does not name the bad benchmark", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q", args, out.String())
+		}
+	}
+}
+
 // TestSweepNamesMatchRegistry: the accepted names, the usage list in the
 // package comment and the committed goldens all equal the registry.
 func TestSweepNamesMatchRegistry(t *testing.T) {

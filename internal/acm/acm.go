@@ -131,15 +131,11 @@ type Store struct {
 	writes uint64
 }
 
-// NewStore builds an empty metadata store for the pool described by layout.
-func NewStore(layout addr.Layout) *Store {
-	return NewStoreInArena(nil, layout)
-}
-
-// NewStoreInArena is NewStore drawing the per-region chunk slabs — at 1MB
-// per touched region, the single largest allocation a run makes — from a.
-// A nil arena allocates normally.
-func NewStoreInArena(a *arena.Arena, layout addr.Layout) *Store {
+// NewStore builds an empty metadata store for the pool described by
+// layout, drawing the per-region chunk slabs — at 1MB per touched region,
+// the single largest allocation a run makes — from a. A nil arena
+// allocates normally.
+func NewStore(a *arena.Arena, layout addr.Layout) *Store {
 	regions := (layout.FAMSize + addr.HugeSize - 1) / addr.HugeSize
 	return &Store{
 		layout: layout,

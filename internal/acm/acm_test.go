@@ -71,7 +71,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestOwnerCheck(t *testing.T) {
-	s := NewStore(layout())
+	s := NewStore(nil, layout())
 	if err := s.Set(7, Entry{Owner: 3, Perm: PermRW}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestOwnerCheck(t *testing.T) {
 }
 
 func TestSharedRegionCheck(t *testing.T) {
-	s := NewStore(layout())
+	s := NewStore(nil, layout())
 	const huge = 2
 	s.MarkShared(huge, PermR)
 	s.Grant(huge, 5, PermRW)
@@ -120,7 +120,7 @@ func TestSharedRegionCheck(t *testing.T) {
 }
 
 func TestMarkSharedCoversWholeRegion(t *testing.T) {
-	s := NewStore(layout())
+	s := NewStore(nil, layout())
 	s.MarkShared(0, PermR)
 	for _, off := range []uint64{0, 1, addr.PagesPerHuge - 1} {
 		if !s.IsSharedMarker(s.Entry(addr.FPage(off))) {
@@ -133,7 +133,7 @@ func TestMarkSharedCoversWholeRegion(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	s := NewStore(layout())
+	s := NewStore(nil, layout())
 	s.Set(1, Entry{Owner: 2, Perm: PermRWX})
 	s.Clear(1)
 	if d := s.Check(1, 2, PermR); d.Allowed {
@@ -147,7 +147,7 @@ func TestClear(t *testing.T) {
 // Property: only the owner (with sufficient perm) passes Check on
 // non-shared pages, for arbitrary owners/requesters.
 func TestOwnershipQuick(t *testing.T) {
-	s := NewStore(layout())
+	s := NewStore(nil, layout())
 	f := func(page uint16, owner, requester uint16, permBits uint8) bool {
 		owner &= 0x3FFE // avoid the shared marker
 		requester &= 0x3FFF

@@ -140,12 +140,6 @@ func (l Layout) InFAMZone(a NPAddr) bool {
 	return uint64(a) >= l.DRAMSize && uint64(a) < l.DRAMSize+l.FAMZoneSize
 }
 
-// LocalPages returns the number of node-physical pages in the local zone.
-func (l Layout) LocalPages() uint64 { return l.DRAMSize / PageSize }
-
-// FAMZonePages returns the number of node-physical pages in the FAM zone.
-func (l Layout) FAMZonePages() uint64 { return l.FAMZoneSize / PageSize }
-
 // FAMZoneBase returns the first node-physical address of the FAM zone.
 func (l Layout) FAMZoneBase() NPAddr { return NPAddr(l.DRAMSize) }
 

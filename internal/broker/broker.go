@@ -63,14 +63,9 @@ type Broker struct {
 }
 
 // New builds a broker for the pool described by layout, with deterministic
-// placement driven by seed.
-func New(layout addr.Layout, seed int64) (*Broker, error) {
-	return NewInArena(nil, layout, seed)
-}
-
-// NewInArena is New drawing the owner table, ACM chunk slabs and FAM
-// page-table arenas from a. A nil arena allocates normally.
-func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error) {
+// placement driven by seed, drawing the owner table, ACM chunk slabs and
+// FAM page-table arenas from a. A nil arena allocates normally.
+func New(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +78,7 @@ func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error)
 func newRange(a *arena.Arena, layout addr.Layout, seed int64, base, count uint64) *Broker {
 	b := &Broker{
 		layout:    layout,
-		meta:      acm.NewStoreInArena(a, layout),
+		meta:      acm.NewStore(a, layout),
 		rng:       rng.New(seed),
 		base:      base,
 		full:      base == 0 && count == layout.UsableFAMPages(),
@@ -181,7 +176,7 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 		b.owner[uint64(p)-b.base] = node + 1
 		return uint64(p), nil
 	}
-	t, err := pagetable.NewInArena(b.a, fmt.Sprintf("fam-pt.%d", node), alloc)
+	t, err := pagetable.New(b.a, fmt.Sprintf("fam-pt.%d", node), alloc)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ func layout() addr.Layout {
 
 func newBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := New(layout(), 42)
+	b, err := New(nil, layout(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func newBroker(t *testing.T) *Broker {
 }
 
 func TestNewValidatesLayout(t *testing.T) {
-	if _, err := New(addr.Layout{}, 1); err == nil {
+	if _, err := New(nil, addr.Layout{}, 1); err == nil {
 		t.Fatal("invalid layout accepted")
 	}
 }
@@ -45,9 +45,9 @@ func TestAllocateSetsOwnershipAndACM(t *testing.T) {
 }
 
 func TestAllocationIsRandomButDeterministic(t *testing.T) {
-	b1, _ := New(layout(), 7)
-	b2, _ := New(layout(), 7)
-	b3, _ := New(layout(), 8)
+	b1, _ := New(nil, layout(), 7)
+	b2, _ := New(nil, layout(), 7)
+	b3, _ := New(nil, layout(), 8)
 	var s1, s2, s3 []addr.FPage
 	for i := 0; i < 64; i++ {
 		p1, _ := b1.AllocatePage(1)
@@ -211,7 +211,7 @@ func TestMigrateJob(t *testing.T) {
 
 func TestPoolExhaustion(t *testing.T) {
 	small := addr.Layout{DRAMSize: 1 << 20, FAMZoneSize: 1 << 20, FAMSize: 64 << 20, ACMBits: 16}
-	b, err := New(small, 1)
+	b, err := New(nil, small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,18 +27,14 @@ type Sharded struct {
 	shards []*Broker
 }
 
-// NewSharded builds n shards over layout's usable pool. Sharded is returned
-// by value — it is one slice header — so the common embed-in-a-System case
-// adds no allocation over the plain Broker it replaces.
-func NewSharded(layout addr.Layout, seed int64, n int) (Sharded, error) {
-	return NewShardedInArena(nil, layout, seed, n)
-}
-
-// NewShardedInArena is NewSharded drawing each shard's tables (and the
-// shard slice itself) from a. Shard i owns pages
-// [i·usable/n, (i+1)·usable/n), so partitions differ in size by at most one
-// page and cover the pool exactly. n ≤ 0 normalizes to 1.
-func NewShardedInArena(a *arena.Arena, layout addr.Layout, seed int64, n int) (Sharded, error) {
+// NewSharded builds n shards over layout's usable pool, drawing each
+// shard's tables (and the shard slice itself) from a (nil allocates
+// normally). Shard i owns pages [i·usable/n, (i+1)·usable/n), so
+// partitions differ in size by at most one page and cover the pool
+// exactly. n ≤ 0 normalizes to 1. Sharded is returned by value — it is one
+// slice header — so the common embed-in-a-System case adds no allocation
+// over the plain Broker it replaces.
+func NewSharded(a *arena.Arena, layout addr.Layout, seed int64, n int) (Sharded, error) {
 	if err := layout.Validate(); err != nil {
 		return Sharded{}, err
 	}

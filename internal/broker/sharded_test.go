@@ -12,11 +12,11 @@ import (
 // The golden-report CI job depends on this (default configs build a 1-shard
 // Sharded where they used to build a Broker).
 func TestShardedSingleShardMatchesPlainBroker(t *testing.T) {
-	plain, err := New(layout(), 42)
+	plain, err := New(nil, layout(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewSharded(layout(), 42, 1)
+	sh, err := NewSharded(nil, layout(), 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestShardedSingleShardMatchesPlainBroker(t *testing.T) {
 // exactly, and a page freed on its shard is reusable there.
 func TestShardedPartitionsDisjoint(t *testing.T) {
 	const n = 4
-	sh, err := NewSharded(layout(), 7, n)
+	sh, err := NewSharded(nil, layout(), 7, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestShardedPartitionsDisjoint(t *testing.T) {
 // TestShardedForMapping pins the node→shard round-robin: node IDs start at
 // 1, node 0 (broker-owned) is served by shard 0.
 func TestShardedForMapping(t *testing.T) {
-	sh, err := NewSharded(layout(), 1, 2)
+	sh, err := NewSharded(nil, layout(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestShardedForMapping(t *testing.T) {
 // TestShardRejectsSharedRegions: shared 1GB regions are carved from the top
 // of the whole pool, which only a full-pool broker can do coherently.
 func TestShardRejectsSharedRegions(t *testing.T) {
-	sh, err := NewSharded(layout(), 1, 2)
+	sh, err := NewSharded(nil, layout(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestShardRejectsSharedRegions(t *testing.T) {
 			t.Errorf("shard %d accepted a shared-region carve", i)
 		}
 	}
-	one, err := NewSharded(layout(), 1, 1)
+	one, err := NewSharded(nil, layout(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestShardRejectsSharedRegions(t *testing.T) {
 // shards: restoring rewinds every shard's RNG, pool and ownership so the
 // continuation replays the exact page sequence.
 func TestShardedCaptureRestoreReplays(t *testing.T) {
-	sh, err := NewSharded(layout(), 99, 3)
+	sh, err := NewSharded(nil, layout(), 99, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestShardedCaptureRestoreReplays(t *testing.T) {
 // TestShardedShardCountBounds pins normalization and the too-many-shards
 // error.
 func TestShardedShardCountBounds(t *testing.T) {
-	sh, err := NewSharded(layout(), 1, 0)
+	sh, err := NewSharded(nil, layout(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestShardedShardCountBounds(t *testing.T) {
 		t.Fatalf("n=0 gave %d shards, want 1", sh.Shards())
 	}
 	usable := layout().UsableFAMPages()
-	if _, err := NewSharded(layout(), 1, int(usable+1)); err == nil {
+	if _, err := NewSharded(nil, layout(), 1, int(usable+1)); err == nil {
 		t.Fatal("accepted more shards than pages")
 	}
 }

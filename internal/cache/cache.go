@@ -70,13 +70,6 @@ type Cache struct {
 	inserted uint64
 }
 
-// New builds a cache of the given total size in bytes with the given
-// associativity (1 to 16 ways) and 64B blocks. Size must be a power-of-two
-// multiple of ways*64 so that the set count is a power of two.
-func New(name string, sizeBytes uint64, ways int) (*Cache, error) {
-	return NewInArena(nil, name, sizeBytes, ways)
-}
-
 // checkGeometry validates one cache's geometry and returns its set count.
 func checkGeometry(name string, sizeBytes uint64, ways int) (sets uint64, err error) {
 	if ways <= 0 || ways > rankWays {
@@ -89,10 +82,13 @@ func checkGeometry(name string, sizeBytes uint64, ways int) (sets uint64, err er
 	return sets, nil
 }
 
-// NewInArena is New drawing the line arrays (tags, recency state, dirty
-// bits, way cache) from a, so a sweep's hundreds of systems recycle one
-// set of allocations. A nil arena allocates normally.
-func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache, error) {
+// New builds a cache of the given total size in bytes with the given
+// associativity (1 to 16 ways) and 64B blocks. Size must be a power-of-two
+// multiple of ways*64 so that the set count is a power of two. The line
+// arrays (tags, recency state, dirty bits, way cache) come from a, so a
+// sweep's hundreds of systems recycle one set of allocations. A nil arena
+// allocates normally.
+func New(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache, error) {
 	sets, err := checkGeometry(name, sizeBytes, ways)
 	if err != nil {
 		return nil, err
@@ -117,15 +113,6 @@ func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache
 		c.order[i] = init
 	}
 	return c, nil
-}
-
-// MustNew is New for statically known-good configurations.
-func MustNew(name string, sizeBytes uint64, ways int) *Cache {
-	c, err := New(name, sizeBytes, ways)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // recycle returns the cache's line arrays to a for the next run's

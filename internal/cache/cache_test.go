@@ -5,20 +5,29 @@ import (
 	"testing/quick"
 )
 
+// mustNew builds a cache of a statically known-good geometry.
+func mustNew(name string, sizeBytes uint64, ways int) *Cache {
+	c, err := New(nil, name, sizeBytes, ways)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestNewRejectsBadGeometry(t *testing.T) {
-	if _, err := New("x", 32*1024, 0); err == nil {
+	if _, err := New(nil, "x", 32*1024, 0); err == nil {
 		t.Error("zero ways accepted")
 	}
-	if _, err := New("x", 3000, 4); err == nil {
+	if _, err := New(nil, "x", 3000, 4); err == nil {
 		t.Error("non-power-of-two set count accepted")
 	}
-	if _, err := New("x", 0, 4); err == nil {
+	if _, err := New(nil, "x", 0, 4); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := New("x", 64*32, 32); err == nil {
+	if _, err := New(nil, "x", 64*32, 32); err == nil {
 		t.Error("32 ways accepted (the rank word holds at most 16)")
 	}
-	c, err := New("l1", 32*1024, 8)
+	c, err := New(nil, "l1", 32*1024, 8)
 	if err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
@@ -28,7 +37,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 }
 
 func TestHitAfterMiss(t *testing.T) {
-	c := MustNew("c", 1024, 2) // 8 sets
+	c := mustNew("c", 1024, 2) // 8 sets
 	if hit, _, _ := c.Access(0x1000, false); hit {
 		t.Fatal("cold access hit")
 	}
@@ -48,7 +57,7 @@ func TestHitAfterMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew("c", 2*64, 2) // 1 set, 2 ways
+	c := mustNew("c", 2*64, 2) // 1 set, 2 ways
 	c.Access(0x000, false)     // A
 	c.Access(0x040, false)     // B
 	c.Access(0x000, false)     // touch A; B is now LRU
@@ -62,7 +71,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDirtyVictim(t *testing.T) {
-	c := MustNew("c", 64, 1) // direct-mapped, 1 line
+	c := mustNew("c", 64, 1) // direct-mapped, 1 line
 	c.Access(0x000, true)    // dirty
 	_, victim, evicted := c.Access(0x040, false)
 	if !evicted || !victim.Dirty || victim.Addr != 0 {
@@ -76,7 +85,7 @@ func TestDirtyVictim(t *testing.T) {
 }
 
 func TestWriteMarksDirtyOnHit(t *testing.T) {
-	c := MustNew("c", 64, 1)
+	c := mustNew("c", 64, 1)
 	c.Access(0x000, false) // clean allocate
 	c.Access(0x000, true)  // hit-write dirties
 	_, victim, _ := c.Access(0x040, false)
@@ -86,7 +95,7 @@ func TestWriteMarksDirtyOnHit(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := MustNew("c", 1024, 4)
+	c := mustNew("c", 1024, 4)
 	c.Access(0x2000, true)
 	present, dirty := c.Invalidate(0x2000)
 	if !present || !dirty {
@@ -101,7 +110,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestVictimAddressReconstruction(t *testing.T) {
-	c := MustNew("c", 64*16, 1) // 16 sets, direct-mapped
+	c := mustNew("c", 64*16, 1) // 16 sets, direct-mapped
 	// Two addresses mapping to the same set, different tags.
 	a1 := uint64(5 << 6)
 	a2 := a1 + 16*64
@@ -115,7 +124,7 @@ func TestVictimAddressReconstruction(t *testing.T) {
 // Property: a probe immediately after an access always hits, and the cache
 // never holds more distinct blocks than its capacity.
 func TestCacheCoherentQuick(t *testing.T) {
-	c := MustNew("c", 4096, 4)
+	c := mustNew("c", 4096, 4)
 	resident := map[uint64]bool{}
 	f := func(a uint32, w bool) bool {
 		blk := uint64(a) &^ 63

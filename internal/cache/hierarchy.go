@@ -83,25 +83,20 @@ type Hierarchy struct {
 	wbBuf    []uint64 // reused writeback scratch, returned by Access
 }
 
-// NewHierarchy builds the hierarchy.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	return NewHierarchyInArena(nil, cfg)
-}
-
-// NewHierarchyInArena is NewHierarchy drawing every cache's line arrays
-// and the L3 presence bytes from a (nil allocates normally). Recycle
-// returns them.
-func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
+// NewHierarchy builds the hierarchy, drawing every cache's line arrays and
+// the L3 presence bytes from a (nil allocates normally). Recycle returns
+// them.
+func NewHierarchy(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	h := &Hierarchy{}
 	for i := 0; i < cfg.Cores; i++ {
-		l1, err := NewInArena(a, fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways)
+		l1, err := New(a, fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways)
 		if err != nil {
 			return nil, err
 		}
-		l2, err := NewInArena(a, fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways)
+		l2, err := New(a, fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +104,7 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 		h.l2 = append(h.l2, l2)
 	}
 	var err error
-	h.l3, err = NewInArena(a, "l3", cfg.L3Size, cfg.L3Ways)
+	h.l3, err = New(a, "l3", cfg.L3Size, cfg.L3Ways)
 	if err != nil {
 		return nil, err
 	}
@@ -183,21 +178,8 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 	return Memory, writebacks
 }
 
-// SetDirtyInL3 marks the block containing a dirty in the L3 if present. The
-// hierarchy propagates store dirtiness lazily (stores allocate dirty at the
-// level they hit); the node model calls this when a dirty block is evicted
-// from an upper level in tests.
-func (h *Hierarchy) SetDirtyInL3(a uint64) {
-	if h.l3.Probe(a) {
-		h.l3.Access(a, true)
-	}
-}
-
 // L1Cache returns core's private L1 (for stats and tests).
 func (h *Hierarchy) L1Cache(core int) *Cache { return h.l1[core] }
-
-// L2Cache returns core's private L2.
-func (h *Hierarchy) L2Cache(core int) *Cache { return h.l2[core] }
 
 // L3Cache returns the shared L3.
 func (h *Hierarchy) L3Cache() *Cache { return h.l3 }

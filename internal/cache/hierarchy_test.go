@@ -10,7 +10,7 @@ import (
 
 func smallHierarchy(t *testing.T, cores int) *Hierarchy {
 	t.Helper()
-	h, err := NewHierarchy(HierarchyConfig{
+	h, err := NewHierarchy(nil, HierarchyConfig{
 		Cores: cores,
 		// Tiny levels so evictions are easy to force.
 		L1Size: 4 * 64, L1Ways: 2,
@@ -98,10 +98,10 @@ func TestHierarchyMissCounter(t *testing.T) {
 }
 
 func TestNewHierarchyRejectsBadConfig(t *testing.T) {
-	if _, err := NewHierarchy(HierarchyConfig{Cores: 0}); err == nil {
+	if _, err := NewHierarchy(nil, HierarchyConfig{Cores: 0}); err == nil {
 		t.Fatal("zero cores accepted")
 	}
-	if _, err := NewHierarchy(HierarchyConfig{Cores: 1, L1Size: 100, L1Ways: 3}); err == nil {
+	if _, err := NewHierarchy(nil, HierarchyConfig{Cores: 1, L1Size: 100, L1Ways: 3}); err == nil {
 		t.Fatal("bad L1 geometry accepted")
 	}
 	good := HierarchyConfig{Cores: 1, L1Size: 8 << 10, L1Ways: 8, L2Size: 64 << 10, L2Ways: 8, L3Size: 256 << 10, L3Ways: 16}
@@ -118,7 +118,7 @@ func TestNewHierarchyRejectsBadConfig(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s accepted by Validate", name)
 		}
-		if _, err := NewHierarchy(c); err == nil {
+		if _, err := NewHierarchy(nil, c); err == nil {
 			t.Errorf("%s accepted by NewHierarchy", name)
 		}
 	}

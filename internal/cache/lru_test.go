@@ -91,11 +91,11 @@ type lruCache interface {
 // oraclePair builds a cache and a stamp oracle of the same geometry.
 func oraclePair(t *testing.T, sizeBytes uint64, ways int) (*Cache, *stampCache) {
 	t.Helper()
-	rank, err := New("rank", sizeBytes, ways)
+	rank, err := New(nil, "rank", sizeBytes, ways)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rank, newStampCache(MustNew("geom", sizeBytes, ways))
+	return rank, newStampCache(mustNew("geom", sizeBytes, ways))
 }
 
 // TestRankWordMatchesStampOracle drives randomized access/invalidate
@@ -206,7 +206,7 @@ func TestInitOrderWord(t *testing.T) {
 // selection). Run with -benchmem: every path must stay at 0 allocs/op.
 func BenchmarkCacheAccess(b *testing.B) {
 	for _, ways := range []int{8, 16} {
-		c := MustNew("bench", 64<<10, ways) // the L2 shape (and L3 assoc)
+		c := mustNew("bench", 64<<10, ways) // the L2 shape (and L3 assoc)
 		sets := int(c.Sets())
 
 		b.Run(fmt.Sprintf("hit-mru/%dway", ways), func(b *testing.B) {

@@ -17,6 +17,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,6 +26,7 @@ import (
 	"deact/internal/experiments"
 	"deact/internal/profiling"
 	"deact/internal/resultstore"
+	"deact/internal/workload"
 )
 
 // Scale holds the simulation-scale flags. Warmup and Measure are
@@ -67,14 +69,28 @@ func RunnerFlags(fs *flag.FlagSet) *Runner {
 	return r
 }
 
+// ErrUnknownBenchmark is wrapped by Options when -benchmarks names an
+// empty or unknown benchmark, so commands can report it as a usage error.
+var ErrUnknownBenchmark = errors.New("unknown benchmark")
+
 // Options assembles an experiments.Options from the parsed flag values,
 // opening the persistent result store when -store was given. Output is
-// byte-identical with and without a store; only the work changes.
+// byte-identical with and without a store; only the work changes. Every
+// -benchmarks name is trimmed and must be in the workload catalog, so a
+// typo fails here, before any run.
 func (r *Runner) Options(s *Scale) (experiments.Options, error) {
 	opts := experiments.Options{Warmup: s.Warmup, Measure: s.Measure, Cores: s.Cores, Seed: s.Seed,
 		Parallelism: r.Parallelism, ShareWarmup: r.ShareWarmup}
 	if r.Benchmarks != "" {
 		opts.Benchmarks = strings.Split(r.Benchmarks, ",")
+		for i, name := range opts.Benchmarks {
+			name = strings.TrimSpace(name)
+			if _, err := workload.Get(name); err != nil {
+				return experiments.Options{}, fmt.Errorf("-benchmarks: %w %q (have %s)",
+					ErrUnknownBenchmark, name, strings.Join(workload.Names(), ", "))
+			}
+			opts.Benchmarks[i] = name
+		}
 	}
 	if r.StoreDir != "" {
 		st, err := resultstore.Open(r.StoreDir, 0)

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"deact/internal/experiments"
+	"deact/internal/workload"
 )
 
 // TestFlagGroupsParse pins the shared flag surface: names, defaults and
@@ -66,6 +68,37 @@ func TestFlagGroupDefaults(t *testing.T) {
 	}
 	if opts.Benchmarks != nil || opts.Store != nil {
 		t.Fatalf("optional knobs defaulted on: %+v", opts)
+	}
+}
+
+// TestBenchmarksTrimmedAndChecked: -benchmarks names are trimmed, and an
+// empty or unknown name fails Options with ErrUnknownBenchmark and the
+// catalog's names, before any store is opened or run submitted.
+func TestBenchmarksTrimmedAndChecked(t *testing.T) {
+	parse := func(list string) (experiments.Options, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		sc := ScaleFlags(fs, 1, 1, 1)
+		rn := RunnerFlags(fs)
+		if err := fs.Parse([]string{"-benchmarks", list}); err != nil {
+			t.Fatal(err)
+		}
+		return rn.Options(sc)
+	}
+	opts, err := parse(" mcf, sp ,dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(opts.Benchmarks, []string{"mcf", "sp", "dc"}) {
+		t.Fatalf("benchmarks = %q", opts.Benchmarks)
+	}
+	for _, bad := range []string{"nosuch", "mcf,,sp", "mcf,", " ", "mcf,Sp"} {
+		_, err := parse(bad)
+		if !errors.Is(err, ErrUnknownBenchmark) {
+			t.Fatalf("-benchmarks %q: err %v, want ErrUnknownBenchmark", bad, err)
+		}
+		if !strings.Contains(err.Error(), strings.Join(workload.Names(), ", ")) {
+			t.Errorf("-benchmarks %q: error %q does not list the catalog", bad, err)
+		}
 	}
 }
 

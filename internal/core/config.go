@@ -87,8 +87,9 @@ type Config struct {
 	CoreModel string
 	// WindowSize is the OoO scheduling window in ops (entries, ~32): how
 	// far the core runs ahead of an incomplete dependent load before
-	// stalling. Requires CoreModel == CoreOoO and must be >= 1 there; a
-	// one-entry window is bit-identical to the in-order model.
+	// stalling. Requires CoreModel == CoreOoO and must be >= 1 there; the
+	// in-order model is built as a one-entry window with a zero-latency
+	// scheduler.
 	WindowSize int
 	// SchedulerLatency is the OoO wakeup/select stage in core cycles (2 in
 	// the MLP sweep): the delay between a chain load completing and its

@@ -7,7 +7,6 @@ import (
 
 	"deact/internal/acm"
 	"deact/internal/addr"
-	"deact/internal/broker"
 )
 
 // TestSystemMigrationEndToEnd drives the §VI migration flow through the
@@ -60,39 +59,6 @@ func TestSystemMigrationEndToEnd(t *testing.T) {
 	}
 	if d := brk.Meta().Check(sample, 7, acm.PermR); !d.Allowed {
 		t.Fatal("new node denied after migration")
-	}
-}
-
-// TestLogicalIDMigrationAvoidsACMWrites contrasts §VI's two migration
-// mechanisms: physical-ID migration rewrites one ACM entry per page, while
-// logical-ID rebinding touches none.
-func TestLogicalIDMigrationAvoidsACMWrites(t *testing.T) {
-	cfg := quickConfig(DeACTN, "pf")
-	cfg.CoresPerNode = 1
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	brk := sys.Broker()
-
-	// With logical IDs, the ACM stores the job's logical ID; moving the
-	// job is a directory rebind.
-	writesBefore := brk.Meta().Writes()
-	ld := broker.NewLogicalDirectory()
-	if err := ld.Assign(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ld.Rebind(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if brk.Meta().Writes() != writesBefore {
-		t.Fatal("logical rebind touched the metadata store")
-	}
-	if p, ok := ld.PhysicalOf(1); !ok || p != 5 {
-		t.Fatal("rebind lost the job")
 	}
 }
 

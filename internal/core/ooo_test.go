@@ -19,12 +19,13 @@ func oooQuickConfig(scheme Scheme, bench string, window, schedLat int) Config {
 	return cfg
 }
 
-// TestOoODegeneratesToInOrder is the randomized degeneracy oracle: the OoO
-// model with a one-entry window and a zero-latency scheduler cannot run
-// ahead of any dependent load, so its schedule must be bit-identical to the
-// in-order model's — across schemes, access patterns and random seeds.
-// stepOoO and step are separate implementations, so this is a genuine
-// cross-implementation check, not a tautology.
+// TestOoODegeneratesToInOrder holds core's in-order mapping: CoreInOrder
+// builds its cores as a one-entry scheduling window with a zero-latency
+// scheduler, so an OoO configuration with WindowSize=1 and
+// SchedulerLatency=0 must produce the same Result — across schemes, access
+// patterns and random seeds. Both sides run the one cpu step; that the
+// one-entry window is the in-order schedule is cpu's
+// TestOoOWindowOneMatchesInOrder, against a reference in-order core.
 func TestOoODegeneratesToInOrder(t *testing.T) {
 	prng := rand.New(rand.NewSource(20260808))
 	patterns := []string{"", workload.PatternPointerChase, workload.PatternGraphFrontier, workload.PatternStencil}

@@ -167,7 +167,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 
 	s := &System{cfg: cfg, engine: sim.NewEngine(),
 		restoreFrom: o.snap, afterWarmup: o.afterWarmup}
-	s.brk, err = broker.NewShardedInArena(a, cfg.Layout, cfg.Seed, cfg.brokerShards())
+	s.brk, err = broker.NewSharded(a, cfg.Layout, cfg.Seed, cfg.brokerShards())
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 		// Node IDs start at 1; the broker reserves 0 for itself. Each node
 		// is served by its shard of the (possibly unsharded) broker.
 		id := uint16(ni + 1)
-		n, err := node.NewInArena(a, cfg.nodeConfig(id), s.brk.For(id), s.fab, s.fam)
+		n, err := node.New(a, cfg.nodeConfig(id), s.brk.For(id), s.fab, s.fam)
 		if err != nil {
 			return nil, err
 		}
@@ -209,11 +209,16 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 			if o.recorder != nil {
 				src = o.recorder.Tap(globalCore, src)
 			}
+			// The in-order core is the one-entry scheduling window with a
+			// zero-latency scheduler.
+			window, schedLat := 1, 0
+			if cfg.CoreModel == CoreOoO {
+				window, schedLat = cfg.WindowSize, cfg.SchedulerLatency
+			}
 			c, err := cpu.New(cpu.Config{
 				ID: ci, CycleTime: cfg.CycleTime, IssueWidth: cfg.IssueWidth,
 				MaxOutstanding: cfg.MaxOutstanding, Instructions: total,
-				OoO:        cfg.CoreModel == CoreOoO,
-				WindowSize: cfg.WindowSize, SchedulerLatency: cfg.SchedulerLatency,
+				WindowSize: window, SchedulerLatency: schedLat,
 			}, src, n.Access)
 			if err != nil {
 				return nil, err

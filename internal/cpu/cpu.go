@@ -6,18 +6,18 @@
 // translation latency hurts exactly the way it does in the paper, while
 // streaming misses are partially hidden.
 //
-// Two timing models share the Core type. The default in-order model stalls
-// on every dependent load. The OoO model (Config.OoO) adds a small fixed
-// scheduling window and register-style chain dependencies: the core issues
-// past an incomplete dependent load up to WindowSize-1 ops deep, dependent
+// One timing model covers both core shapes: a WindowSize-entry scheduling
+// window with register-style chain dependencies. The core issues past an
+// incomplete dependent load up to WindowSize-1 ops deep, and dependent
 // loads serialize through the chain register plus a SchedulerLatency
-// wakeup stage, and a one-entry window degenerates bit-exactly to the
-// in-order schedule.
+// wakeup stage. The in-order core is the one-entry window with a
+// zero-latency scheduler: it cannot run ahead of any dependent load, so it
+// stalls on every one.
 //
 // A Core is a self-rescheduling sim.Handler: its steady-state event chain
 // allocates nothing (the outstanding window is a slice sorted latest-first
 // that never outgrows its preallocated capacity at MaxOutstanding <= 64,
-// the OoO scheduler three scalar fields), and retirement order is a
+// the scheduler three scalar fields), and retirement order is a
 // deterministic function of the generator stream and the access latencies
 // it observes.
 package cpu
@@ -46,22 +46,13 @@ type Config struct {
 	// Instructions is the retirement budget for the run.
 	Instructions uint64
 
-	// OoO selects the out-of-order scheduling model: a WindowSize-entry
-	// scheduling window lets the core issue past an incomplete dependent
-	// (chain) load, while dependent loads themselves serialize through a
-	// register-style chain dependency plus the SchedulerLatency wakeup
-	// stage. Independent references keep the MaxOutstanding miss window of
-	// the in-order model. With WindowSize=1 and SchedulerLatency=0 the OoO
-	// schedule is bit-identical to the in-order one (the degeneracy oracle
-	// tests hold exactly that).
-	OoO bool
-	// WindowSize is the OoO scheduling window in ops: the core may issue
-	// at most WindowSize-1 ops beyond an incomplete dependent load before
-	// stalling until it completes. Must be >= 1 when OoO, 0 otherwise.
+	// WindowSize is the scheduling window in ops: the core may issue at
+	// most WindowSize-1 ops beyond an incomplete dependent (chain) load
+	// before stalling until it completes. 1 is the in-order core. Must be
+	// >= 1.
 	WindowSize int
-	// SchedulerLatency is the OoO wakeup/select delay in core cycles
-	// between a chain load completing and its dependent issuing. Must be
-	// >= 0 when OoO, 0 otherwise.
+	// SchedulerLatency is the wakeup/select delay in core cycles between a
+	// chain load completing and its dependent issuing. Must be >= 0.
 	SchedulerLatency int
 }
 
@@ -76,12 +67,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: outstanding window must be positive")
 	case c.Instructions == 0:
 		return fmt.Errorf("cpu: zero instruction budget")
-	case c.OoO && c.WindowSize <= 0:
-		return fmt.Errorf("cpu: OoO scheduling window must be positive")
-	case c.OoO && c.SchedulerLatency < 0:
+	case c.WindowSize <= 0:
+		return fmt.Errorf("cpu: scheduling window must be positive")
+	case c.SchedulerLatency < 0:
 		return fmt.Errorf("cpu: scheduler latency must be non-negative")
-	case !c.OoO && (c.WindowSize != 0 || c.SchedulerLatency != 0):
-		return fmt.Errorf("cpu: WindowSize/SchedulerLatency require the OoO model")
 	}
 	return nil
 }
@@ -143,7 +132,8 @@ type Core struct {
 
 	win window // in-flight independent references, latest completion first
 
-	// OoO scheduler state (zero in the in-order model and at quiescence).
+	// Scheduler state (zero at quiescence; chainPend and ahead stay zero
+	// in a one-entry window).
 	depReady  sim.Time // completion time of the last chain load (the chain register)
 	chainPend sim.Time // completion of the chain load the core is running past; 0 = none
 	ahead     int      // ops the core may still issue before chainPend must retire
@@ -187,16 +177,19 @@ func (c *Core) SetBudget(total uint64) {
 }
 
 // Handle implements sim.Handler: one engine dispatch is one core step.
-func (c *Core) Handle(now sim.Time) {
-	if c.cfg.OoO {
-		c.stepOoO(now)
-		return
-	}
-	c.step(now)
-}
+func (c *Core) Handle(now sim.Time) { c.step(now) }
 
 // step executes one instruction window: the compute gap, then the memory
 // reference, then schedules the next step at the time the core can proceed.
+//
+// Independent references occupy a slot of the MaxOutstanding miss window
+// and stall the core only when it is full. Dependent (chain) loads differ
+// in two ways: their issue waits for the chain register — the previous
+// chain load's completion plus the scheduler's wakeup/select latency — and
+// the core keeps issuing past them instead of stalling, up to WindowSize-1
+// ops beyond the incomplete load, after which it stalls until the load
+// retires. A one-entry window cannot run ahead at all: the in-order core
+// stalls on every dependent load.
 func (c *Core) step(now sim.Time) {
 	if c.done {
 		return
@@ -210,62 +203,6 @@ func (c *Core) step(now sim.Time) {
 	c.memOps++
 
 	// Compute window retires at the peak issue rate.
-	cycles := (uint64(op.Compute) + uint64(c.cfg.IssueWidth)) / uint64(c.cfg.IssueWidth)
-	issueAt := now + sim.Time(cycles)*c.cfg.CycleTime
-
-	done, err := c.access(issueAt, c.cfg.ID, op)
-	if err != nil {
-		c.err = err
-		c.retire(issueAt)
-		return
-	}
-
-	next := issueAt
-	if op.Blocking {
-		// Dependent load: the core cannot proceed until the data returns.
-		c.blockedOps++
-		next = done
-	} else {
-		// Independent reference: occupy an outstanding slot; stall only
-		// when the window is full.
-		c.win.drain(issueAt)
-		if len(c.win) == c.cfg.MaxOutstanding {
-			if earliest := c.win.min(); earliest > next {
-				next = earliest
-			}
-			c.win.drain(next)
-		}
-		c.win.insert(done)
-	}
-	c.engine.ScheduleHandler(next, c)
-}
-
-// stepOoO is step under the out-of-order model. It is a deliberately
-// separate implementation, not a parameterization of step: the in-order
-// core is the oracle the randomized degeneracy tests compare it against,
-// which only means something if the two schedules are computed
-// independently.
-//
-// Independent references take exactly the in-order path (the
-// MaxOutstanding miss window). Dependent (chain) loads differ in two ways:
-// their issue waits for the chain register — the previous chain load's
-// completion plus the scheduler's wakeup/select latency — and the core
-// keeps issuing past them instead of stalling, up to WindowSize-1 ops
-// beyond the incomplete load, after which it stalls until the load
-// retires. A one-entry window cannot run ahead at all, which is the
-// in-order schedule.
-func (c *Core) stepOoO(now sim.Time) {
-	if c.done {
-		return
-	}
-	if c.instrs >= c.cfg.Instructions {
-		c.retire(now)
-		return
-	}
-	op := c.gen.Next()
-	c.instrs += uint64(op.Compute) + 1
-	c.memOps++
-
 	cycles := (uint64(op.Compute) + uint64(c.cfg.IssueWidth)) / uint64(c.cfg.IssueWidth)
 	issueAt := now + sim.Time(cycles)*c.cfg.CycleTime
 	if op.Blocking && c.depReady > 0 {
@@ -290,7 +227,7 @@ func (c *Core) stepOoO(now sim.Time) {
 		c.depReady = done
 		if c.cfg.WindowSize == 1 {
 			// No room to run ahead of the incomplete load: stall until the
-			// data returns — exactly the in-order schedule.
+			// data returns.
 			next = done
 			c.chainPend, c.ahead = 0, 0
 		} else {
@@ -299,7 +236,7 @@ func (c *Core) stepOoO(now sim.Time) {
 		}
 	} else {
 		// Independent reference: occupy an outstanding slot; stall only
-		// when the miss window is full (identical to the in-order model).
+		// when the miss window is full.
 		c.win.drain(issueAt)
 		if len(c.win) == c.cfg.MaxOutstanding {
 			if earliest := c.win.min(); earliest > next {
@@ -324,9 +261,8 @@ func (c *Core) stepOoO(now sim.Time) {
 }
 
 // retire finalizes the run at the time the last in-flight reference (or the
-// final step) completes. Retirement drains the pipeline: the OoO chain
-// state resets to structural zero, so a retired core is quiescent under
-// either model.
+// final step) completes. Retirement drains the pipeline: the chain state
+// resets to structural zero, so a retired core is quiescent.
 func (c *Core) retire(now sim.Time) {
 	end := now
 	if len(c.win) > 0 && c.win.max() > end {

@@ -23,8 +23,9 @@ func testGen(t *testing.T, chaseProb float64) *workload.Generator {
 	return g
 }
 
+// cfg is an in-order core: a one-entry scheduling window.
 func cfg(budget uint64) Config {
-	return Config{CycleTime: 500, IssueWidth: 2, MaxOutstanding: 32, Instructions: budget}
+	return Config{CycleTime: 500, IssueWidth: 2, MaxOutstanding: 32, Instructions: budget, WindowSize: 1}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -32,10 +33,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{CycleTime: 0, IssueWidth: 1, MaxOutstanding: 1, Instructions: 1},
-		{CycleTime: 1, IssueWidth: 0, MaxOutstanding: 1, Instructions: 1},
-		{CycleTime: 1, IssueWidth: 1, MaxOutstanding: 0, Instructions: 1},
-		{CycleTime: 1, IssueWidth: 1, MaxOutstanding: 1, Instructions: 0},
+		{CycleTime: 0, IssueWidth: 1, MaxOutstanding: 1, Instructions: 1, WindowSize: 1},
+		{CycleTime: 1, IssueWidth: 0, MaxOutstanding: 1, Instructions: 1, WindowSize: 1},
+		{CycleTime: 1, IssueWidth: 1, MaxOutstanding: 0, Instructions: 1, WindowSize: 1},
+		{CycleTime: 1, IssueWidth: 1, MaxOutstanding: 1, Instructions: 0, WindowSize: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

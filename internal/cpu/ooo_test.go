@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"deact/internal/sim"
@@ -9,7 +11,7 @@ import (
 
 func ooocfg(budget uint64, window, schedLat int) Config {
 	c := cfg(budget)
-	c.OoO, c.WindowSize, c.SchedulerLatency = true, window, schedLat
+	c.WindowSize, c.SchedulerLatency = window, schedLat
 	return c
 }
 
@@ -20,49 +22,150 @@ func TestOoOConfigValidate(t *testing.T) {
 	if err := ooocfg(100, 32, 2).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	noWindow := cfg(100)
-	noWindow.OoO = true
-	negLat := ooocfg(100, 4, -1)
-	strayWindow := cfg(100)
-	strayWindow.WindowSize = 4
-	strayLat := cfg(100)
-	strayLat.SchedulerLatency = 2
-	for i, c := range []Config{noWindow, negLat, strayWindow, strayLat} {
+	for i, c := range []Config{ooocfg(100, 0, 0), ooocfg(100, -1, 0), ooocfg(100, 4, -1)} {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad OoO config %d accepted", i)
+			t.Errorf("bad scheduler config %d accepted", i)
 		}
 	}
 }
 
-// TestOoOWindowOneMatchesInOrder is the cpu-level degeneracy oracle: a
-// one-entry window with a zero-latency scheduler cannot run ahead of any
-// dependent load, so stepOoO — a fully separate implementation — must
-// reproduce the in-order schedule bit-for-bit, across dependence mixes.
-func TestOoOWindowOneMatchesInOrder(t *testing.T) {
-	for _, chase := range []float64{0, 0.3, 1.0} {
-		run := func(c Config) *Core {
-			e := sim.NewEngine()
-			acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
-				return now + sim.NS(40) + sim.Time(op.Addr%977), nil
+// inOrderCore is the reference in-order core: a copy of the dedicated
+// in-order step the production core replaced with its one-entry window.
+// Every dependent load stalls the core until its data returns; independent
+// references overlap up to MaxOutstanding. It has no chain register and no
+// run-ahead state, so it computes the in-order schedule independently of
+// Core.step.
+type inOrderCore struct {
+	cfg    Config
+	gen    workload.Source
+	access AccessFunc
+	engine *sim.Engine
+	win    window
+
+	instrs, memOps, blockedOps uint64
+	finishedAt                 sim.Time
+	done                       bool
+}
+
+func (c *inOrderCore) Handle(now sim.Time) {
+	if c.done {
+		return
+	}
+	if c.instrs >= c.cfg.Instructions {
+		c.retire(now)
+		return
+	}
+	op := c.gen.Next()
+	c.instrs += uint64(op.Compute) + 1
+	c.memOps++
+
+	cycles := (uint64(op.Compute) + uint64(c.cfg.IssueWidth)) / uint64(c.cfg.IssueWidth)
+	issueAt := now + sim.Time(cycles)*c.cfg.CycleTime
+
+	done, err := c.access(issueAt, c.cfg.ID, op)
+	if err != nil {
+		panic(err)
+	}
+
+	next := issueAt
+	if op.Blocking {
+		c.blockedOps++
+		next = done
+	} else {
+		c.win.drain(issueAt)
+		if len(c.win) == c.cfg.MaxOutstanding {
+			if earliest := c.win.min(); earliest > next {
+				next = earliest
 			}
-			core, err := New(c, testGen(t, chase), acc)
+			c.win.drain(next)
+		}
+		c.win.insert(done)
+	}
+	c.engine.ScheduleHandler(next, c)
+}
+
+func (c *inOrderCore) retire(now sim.Time) {
+	end := now
+	if len(c.win) > 0 && c.win.max() > end {
+		end = c.win.max()
+	}
+	c.win.reset()
+	c.finishedAt = end
+	c.done = true
+}
+
+// TestOoOWindowOneMatchesInOrder is the randomized in-order oracle: the
+// production core with a one-entry window and a zero-latency scheduler must
+// reproduce inOrderCore's schedule exactly — every issue time, the counters
+// and the finish time — across random seeds, dependence mixes, miss-window
+// sizes and access latencies.
+func TestOoOWindowOneMatchesInOrder(t *testing.T) {
+	prng := rand.New(rand.NewPCG(20261018, 1))
+	for _, chase := range []float64{0, 0.3, 1.0} {
+		for trial := 0; trial < 12; trial++ {
+			c := ooocfg(4000+prng.Uint64N(16000), 1, 0)
+			c.IssueWidth = 1 + prng.IntN(4)
+			c.MaxOutstanding = 1 + prng.IntN(64)
+			prof := workload.Profile{
+				Name: "oracle", Suite: "test",
+				FootprintPages: 16 + prng.Uint64N(256), MemPer1000: 50 + prng.IntN(900), ChaseProb: chase,
+			}
+			genSeed, latSeed := prng.Int64(), prng.Uint64()
+			maxLat := 1 + prng.Uint64N(uint64(sim.NS(2000)))
+			gen := func() workload.Source {
+				g, err := workload.NewGenerator(prof, genSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			// access draws the same latency sequence for both cores (one in
+			// eight returns at once), so equal schedules see equal
+			// latencies, and records every issue time.
+			access := func() (AccessFunc, *[]sim.Time) {
+				lat := rand.New(rand.NewPCG(latSeed, 2))
+				issues := new([]sim.Time)
+				return func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+					*issues = append(*issues, now)
+					if lat.IntN(8) == 0 {
+						return now, nil
+					}
+					return now + sim.Time(lat.Uint64N(maxLat)), nil
+				}, issues
+			}
+
+			gotAcc, gotIssues := access()
+			got, err := New(c, gen(), gotAcc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			core.Start(e)
+			e := sim.NewEngine()
+			got.Start(e)
 			e.Run(0)
-			return core
-		}
-		inorder := run(cfg(20000))
-		ooo := run(ooocfg(20000, 1, 0))
-		if inorder.Instructions() != ooo.Instructions() ||
-			inorder.MemOps() != ooo.MemOps() ||
-			inorder.BlockedOps() != ooo.BlockedOps() ||
-			inorder.FinishedAt() != ooo.FinishedAt() {
-			t.Fatalf("chase=%v: in-order %d/%d/%d/%d vs OoO(W=1) %d/%d/%d/%d",
-				chase,
-				inorder.Instructions(), inorder.MemOps(), inorder.BlockedOps(), inorder.FinishedAt(),
-				ooo.Instructions(), ooo.MemOps(), ooo.BlockedOps(), ooo.FinishedAt())
+
+			wantAcc, wantIssues := access()
+			want := &inOrderCore{cfg: c, gen: gen(), access: wantAcc, engine: sim.NewEngine(), win: newWindow(c.MaxOutstanding)}
+			want.engine.ScheduleHandler(0, want)
+			want.engine.Run(0)
+
+			if !got.Done() || got.Err() != nil || !want.done {
+				t.Fatalf("chase=%v trial %d: run incomplete (err=%v)", chase, trial, got.Err())
+			}
+			if got.Instructions() != want.instrs || got.MemOps() != want.memOps ||
+				got.BlockedOps() != want.blockedOps || got.FinishedAt() != want.finishedAt {
+				t.Fatalf("chase=%v trial %d (%+v): core %d/%d/%d/%d vs in-order %d/%d/%d/%d",
+					chase, trial, c,
+					got.Instructions(), got.MemOps(), got.BlockedOps(), got.FinishedAt(),
+					want.instrs, want.memOps, want.blockedOps, want.finishedAt)
+			}
+			if g, w := *gotIssues, *wantIssues; !slices.Equal(g, w) {
+				i := 0
+				for i < min(len(g), len(w)) && g[i] == w[i] {
+					i++
+				}
+				t.Fatalf("chase=%v trial %d (%+v): issue times diverge at reference %d of %d/%d",
+					chase, trial, c, i, len(g), len(w))
+			}
 		}
 	}
 }

@@ -7,11 +7,10 @@ import (
 
 // State is a Core's mutable state for core.System.Snapshot, captured only
 // at a quiescent point: the core has retired its budget (done, no error, an
-// empty outstanding window, a drained OoO scheduler), so the window and the
+// empty outstanding window, a drained scheduler), so the window and the
 // chain-register state are structurally zero and the state reduces to the
-// counters, the retirement time and the generator's stream position —
-// under either timing model. The engine pointer and access callback are
-// wiring, re-established by Start.
+// counters, the retirement time and the generator's stream position. The
+// engine pointer and access callback are wiring, re-established by Start.
 type State struct {
 	instrs     uint64
 	memOps     uint64

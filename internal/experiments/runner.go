@@ -128,7 +128,8 @@ type RunInfo struct {
 	Completed, Submitted int
 }
 
-// DefaultOptions returns the scale used for EXPERIMENTS.md.
+// DefaultOptions returns the scale used for EXPERIMENTS.md; deact-report
+// and deact-serve take their -warmup/-measure/-cores defaults from it.
 func DefaultOptions() Options {
 	return Options{Warmup: 80_000, Measure: 60_000, Cores: 2, Seed: 42}
 }

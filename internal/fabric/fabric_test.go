@@ -32,26 +32,21 @@ func TestContentionSerializes(t *testing.T) {
 	if a2 != a1+sim.NS(10) {
 		t.Fatalf("no contention: a1=%v a2=%v", a1, a2)
 	}
-	if f.MaxObservedDelay(ToFAM) != a2 {
-		t.Fatalf("max delay %v, want %v", f.MaxObservedDelay(ToFAM), a2)
-	}
-	if f.MaxObservedDelay(ToNode) != 0 {
-		t.Fatalf("response direction saw no packets, max delay %v", f.MaxObservedDelay(ToNode))
-	}
 }
 
+// TestRoundTrip: a request toward FAM, remote service, then the response
+// back to the node — the pair of traversals every remote access makes.
 func TestRoundTrip(t *testing.T) {
 	f := New(Config{Latency: sim.NS(500), PacketTime: 0})
-	var remoteAt sim.Time
-	done := f.RoundTrip(sim.NS(100), func(arrive sim.Time) sim.Time {
-		remoteAt = arrive
-		return arrive + sim.NS(60) // remote memory service
-	})
+	remoteAt := f.Traverse(sim.NS(100), ToFAM)
 	if remoteAt != sim.NS(600) {
 		t.Fatalf("remote served at %v, want 600ns", remoteAt)
 	}
-	if done != sim.NS(1160) {
+	if done := f.Traverse(remoteAt+sim.NS(60), ToNode); done != sim.NS(1160) {
 		t.Fatalf("round trip done %v, want 1160ns", done)
+	}
+	if f.Packets() != 2 {
+		t.Fatalf("packets = %d, want 2", f.Packets())
 	}
 }
 

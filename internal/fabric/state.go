@@ -3,11 +3,10 @@ package fabric
 import "deact/internal/sim"
 
 // State is a Fabric's mutable state for core.System.Snapshot: both link
-// calendars, the packet counter and the observed-delay watermarks.
+// calendars and the packet counter.
 type State struct {
-	links    [2]sim.ServerState
-	packets  uint64
-	maxDelay [2]sim.Time
+	links   [2]sim.ServerState
+	packets uint64
 }
 
 // CaptureState captures the fabric into st, reusing st's storage.
@@ -15,7 +14,6 @@ func (f *Fabric) CaptureState(st *State) {
 	f.links[ToFAM].CaptureState(&st.links[ToFAM])
 	f.links[ToNode].CaptureState(&st.links[ToNode])
 	st.packets = f.packets
-	st.maxDelay = f.maxDelay
 }
 
 // RestoreState rewinds the fabric to st.
@@ -23,5 +21,4 @@ func (f *Fabric) RestoreState(st *State) {
 	f.links[ToFAM].RestoreState(&st.links[ToFAM])
 	f.links[ToNode].RestoreState(&st.links[ToNode])
 	f.packets = st.packets
-	f.maxDelay = st.maxDelay
 }

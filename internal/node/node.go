@@ -276,15 +276,11 @@ type Node struct {
 	stats Stats
 }
 
-// New builds a node attached to the shared broker, fabric and FAM device.
-func New(cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device) (*Node, error) {
-	return NewInArena(nil, cfg, brk, fab, fam)
-}
-
-// NewInArena is New drawing the node's large construction-time arrays —
-// cache line arrays, the page-table arena, the translator's line array and
-// the OS direct-backing table — from a. A nil arena allocates normally.
-func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device) (*Node, error) {
+// New builds a node attached to the shared broker, fabric and FAM device,
+// drawing its large construction-time arrays — cache line arrays, the
+// page-table arena, the translator's line array and the OS direct-backing
+// table — from a. A nil arena allocates normally.
+func New(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -306,7 +302,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	}
 
 	var err error
-	n.hier, err = cache.NewHierarchyInArena(a, cfg.Hierarchy)
+	n.hier, err = cache.NewHierarchy(a, cfg.Hierarchy)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +324,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 
 	// Node page table: kernel table pages follow the same 20/80 placement
 	// as data (the property that inflates I-FAM's nested walks).
-	n.pt, err = pagetable.NewInArena(a, fmt.Sprintf("node%d.pt", cfg.ID), func() (uint64, error) {
+	n.pt, err = pagetable.New(a, fmt.Sprintf("node%d.pt", cfg.ID), func() (uint64, error) {
 		p, err := n.osa.Alloc()
 		if err != nil {
 			return 0, err
@@ -359,7 +355,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	if cfg.Scheme.UsesDeACT() {
 		tc := cfg.Translator
 		tc.CacheBase = addr.NPAddr(cfg.Layout.DRAMSize - tc.CacheBytes)
-		n.trans, err = translator.NewInArena(a, tc, n.dram, cfg.Seed+101)
+		n.trans, err = translator.New(a, tc, n.dram, cfg.Seed+101)
 		if err != nil {
 			return nil, err
 		}

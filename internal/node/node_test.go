@@ -53,14 +53,14 @@ type rig struct {
 
 func newRig(t *testing.T, scheme Scheme) *rig {
 	t.Helper()
-	brk, err := broker.New(testLayout(), 99)
+	brk, err := broker.New(nil, testLayout(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(fabric.Config{Latency: sim.NS(500), PacketTime: sim.NS(2)})
 	fam := memdev.New(memdev.Config{Name: "fam", Banks: 32, ReadLatency: sim.NS(60),
 		WriteLatency: sim.NS(150), PortLatency: sim.NS(2)})
-	n, err := New(testConfig(1, scheme), brk, fab, fam)
+	n, err := New(nil, testConfig(1, scheme), brk, fab, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("zero cycle accepted")
 	}
-	if _, err := New(testConfig(1, EFAM), nil, nil, nil); err == nil {
+	if _, err := New(nil, testConfig(1, EFAM), nil, nil, nil); err == nil {
 		t.Fatal("nil shared components accepted")
 	}
 }

@@ -57,8 +57,3 @@ func (o *osAllocator) Alloc() (addr.NPPage, error) {
 
 // LocalAllocated returns how many local-zone pages have been handed out.
 func (o *osAllocator) LocalAllocated() uint64 { return o.localNext }
-
-// FAMAllocated returns how many FAM-zone pages have been handed out.
-func (o *osAllocator) FAMAllocated() uint64 {
-	return o.famNext - o.layout.DRAMSize/addr.PageSize
-}

@@ -103,7 +103,7 @@ func TestPrefetchIssuesOnStream(t *testing.T) {
 	cfg := testConfig(1, DeACTN)
 	cfg.Prefetch = PrefetchConfig{Streams: 16, Degree: 2, Threshold: 2}
 	r := newRig(t, DeACTN)
-	n, err := New(cfg, r.brk, r.n.fab, r.fam)
+	n, err := New(nil, cfg, r.brk, r.n.fab, r.fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPrefetchStopsAtPageBoundary(t *testing.T) {
 	cfg := testConfig(1, EFAM)
 	cfg.Prefetch = PrefetchConfig{Streams: 16, Degree: 8, Threshold: 1}
 	r := newRig(t, EFAM)
-	n, err := New(cfg, r.brk, r.n.fab, r.fam)
+	n, err := New(nil, cfg, r.brk, r.n.fab, r.fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPrefetchStateRoundTrip(t *testing.T) {
 	cfg := testConfig(1, DeACTN)
 	cfg.Prefetch = PrefetchConfig{Streams: 16, Degree: 2, Threshold: 2}
 	r := newRig(t, DeACTN)
-	n, err := New(cfg, r.brk, r.n.fab, r.fam)
+	n, err := New(nil, cfg, r.brk, r.n.fab, r.fam)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,15 +68,10 @@ type Table struct {
 	tableNodes uint64
 }
 
-// New creates an empty table whose nodes are placed by alloc.
-func New(name string, alloc PageAllocator) (*Table, error) {
-	return NewInArena(nil, name, alloc)
-}
-
-// NewInArena is New drawing the node arena from a, so a recycled table's
-// growth to its previous high-water mark allocates nothing. A nil arena
-// allocates normally.
-func NewInArena(a *arena.Arena, name string, alloc PageAllocator) (*Table, error) {
+// New creates an empty table whose nodes are placed by alloc, drawing the
+// node arena from a, so a recycled table's growth to its previous
+// high-water mark allocates nothing. A nil arena allocates normally.
+func New(a *arena.Arena, name string, alloc PageAllocator) (*Table, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("pagetable %s: nil allocator", name)
 	}
@@ -143,22 +138,6 @@ func (t *Table) Map(key, value uint64) error {
 	}
 	t.nodes[ni].slots[idx] = value + 1
 	return nil
-}
-
-// Unmap removes key, reporting whether it was mapped. Intermediate nodes
-// are retained (as real kernels do).
-func (t *Table) Unmap(key uint64) bool {
-	ni, ok := t.descend(key, Levels-1)
-	if !ok {
-		return false
-	}
-	idx := index(key, Levels-1)
-	if t.nodes[ni].slots[idx] == 0 {
-		return false
-	}
-	t.nodes[ni].slots[idx] = 0
-	t.mapped--
-	return true
 }
 
 // descend walks interior levels 0..stop-1, returning the node serving key

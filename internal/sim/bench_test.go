@@ -13,7 +13,7 @@ type stepper struct {
 func (s *stepper) Handle(now Time) {
 	s.count++
 	if s.count < s.limit {
-		s.e.AfterHandler(1, s)
+		s.e.ScheduleHandler(now+1, s)
 	}
 }
 

@@ -8,7 +8,7 @@
 // inline (no per-event heap allocation), and the steady-state scheduling
 // path allocates nothing once the queue has reached its high-water mark.
 // Components with a per-event hot path should implement Handler and use
-// ScheduleHandler/AfterHandler, which is closure-free; Schedule/After accept
+// ScheduleHandler, which is closure-free; Schedule/After accept
 // plain funcs for convenience (the closure, if any, is the caller's only
 // allocation).
 //
@@ -72,11 +72,10 @@ func (a event) before(b event) bool {
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  []event // d-ary min-heap ordered by (at, seq)
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	queue []event // d-ary min-heap ordered by (at, seq)
+	fired uint64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -100,11 +99,6 @@ func (e *Engine) ScheduleHandler(at Time, h Handler) {
 	e.seq++
 	e.queue = append(e.queue, event{at: at, seq: e.seq, h: h})
 	e.siftUp(len(e.queue) - 1)
-}
-
-// AfterHandler enqueues h to run delay picoseconds from now.
-func (e *Engine) AfterHandler(delay Time, h Handler) {
-	e.ScheduleHandler(e.now+delay, h)
 }
 
 // Schedule enqueues fn to run at absolute time at, clamping past times to
@@ -177,19 +171,14 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Halt stops Run before the next event is dispatched. It is typically called
-// from inside an event handler once a simulation's exit criterion is met.
-func (e *Engine) Halt() { e.halted = true }
-
-// Run dispatches events in timestamp order until the queue drains, Halt is
-// called, or the optional horizon (non-zero) is reached. It returns the
+// Run dispatches events in timestamp order until the queue drains or the
+// optional horizon (non-zero) is reached. It returns the
 // final simulated time.
 //
 // An event beyond the horizon stays in the queue (the head is peeked, not
 // popped), so a subsequent Run with a larger horizon dispatches it.
 func (e *Engine) Run(horizon Time) Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		if horizon != 0 && e.queue[0].at > horizon {
 			if horizon > e.now {
 				e.now = horizon

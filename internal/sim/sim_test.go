@@ -60,26 +60,6 @@ func TestEngineAfter(t *testing.T) {
 	}
 }
 
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i*10), func(Time) {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run(0)
-	if count != 3 {
-		t.Fatalf("halt ignored: %d events fired", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -190,49 +170,6 @@ func TestEngineSameTimestampFIFOMixedAPIs(t *testing.T) {
 		if v != i {
 			t.Fatalf("FIFO tie-break violated at %d: %v", i, got)
 		}
-	}
-}
-
-// halter halts the engine on its nth dispatch.
-type halter struct {
-	e     *Engine
-	count int
-	at    int
-	fired *int
-}
-
-func (h *halter) Handle(Time) {
-	h.count++
-	*h.fired++
-	if h.count == h.at {
-		h.e.Halt()
-	}
-}
-
-// TestEngineHaltMidDispatchAndResume: Halt from inside a handler stops the
-// loop before the next dispatch, keeps the rest of the queue intact, and a
-// fresh Run resumes exactly where it stopped.
-func TestEngineHaltMidDispatchAndResume(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	h := &halter{e: e, at: 3, fired: &fired}
-	for i := 0; i < 10; i++ {
-		e.ScheduleHandler(Time(i*10), h)
-	}
-	e.Run(0)
-	if fired != 3 {
-		t.Fatalf("halt ignored: %d events fired", fired)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-	if e.Now() != 20 {
-		t.Fatalf("halted at %d, want 20", e.Now())
-	}
-	// Run again: the halted flag must reset and the queue drain.
-	e.Run(0)
-	if fired != 10 || e.Pending() != 0 {
-		t.Fatalf("resume incomplete: fired=%d pending=%d", fired, e.Pending())
 	}
 }
 

@@ -35,7 +35,6 @@ func (e *Engine) RestoreState(st *EngineState) {
 		e.queue[i] = event{}
 	}
 	e.queue = e.queue[:0]
-	e.halted = false
 }
 
 // ServerState captures a Server's reservation calendar. The retired prefix

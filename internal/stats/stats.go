@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -136,14 +135,4 @@ func (t *Table) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order (deterministic iteration).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

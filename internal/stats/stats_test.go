@@ -77,11 +77,3 @@ func TestTableCustomFormat(t *testing.T) {
 		t.Fatal("custom format ignored")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	k := SortedKeys(m)
-	if len(k) != 3 || k[0] != "a" || k[2] != "c" {
-		t.Fatalf("keys = %v", k)
-	}
-}

@@ -218,9 +218,6 @@ func (s *STU) Stats() Stats { return s.stats }
 // retires idle windows entirely in the past (see sim.Clock).
 func (s *STU) Bind(c sim.Clock) { s.port.Bind(c) }
 
-// NodeID returns the node this STU guards.
-func (s *STU) NodeID() uint16 { return s.nodeID }
-
 // n44 truncates a FAM page number to the 44-bit tag DeACT-N stores
 // (Figure 8c); with ≤44-bit page numbers this is exact, matching the
 // paper's observation that 44 bits cover any realistic node.
@@ -418,23 +415,6 @@ func (s *STU) ACMHitRate() float64 {
 		return 0
 	}
 	return float64(s.stats.ACMHits) / float64(tot)
-}
-
-// InvalidateNodePage drops any coupled I-FAM entry for npPage (migration).
-func (s *STU) InvalidateNodePage(npPage addr.NPPage) {
-	if s.ifam != nil {
-		s.ifam.Invalidate(uint64(npPage))
-	}
-}
-
-// InvalidateACM drops cached metadata for a FAM page (migration, §VI).
-func (s *STU) InvalidateACM(fp addr.FPage) {
-	switch s.cfg.Org {
-	case OrgDeACTW:
-		s.wcache.Invalidate(uint64(fp) / s.cfg.pagesPerWay())
-	case OrgDeACTN:
-		s.ncache.Invalidate(n44(fp))
-	}
 }
 
 // Flush empties all STU state (full shootdown).

@@ -84,15 +84,6 @@ func New(name string, entries, ways int) (*TLB, error) {
 	return NewTable[uint64](name, entries, ways)
 }
 
-// MustNew is New for statically known-good geometries.
-func MustNew(name string, entries, ways int) *TLB {
-	t, err := New(name, entries, ways)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func (t *Table[V]) setBase(key uint64) uint64 {
 	if t.pow2 {
 		return (key & t.setMask) * uint64(t.ways)

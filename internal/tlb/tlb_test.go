@@ -7,6 +7,15 @@ import (
 	"deact/internal/pagetable"
 )
 
+// mustNew builds a TLB of a statically known-good geometry.
+func mustNew(name string, entries, ways int) *TLB {
+	t, err := New(name, entries, ways)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestNewGeometry(t *testing.T) {
 	if _, err := New("t", 0, 1); err == nil {
 		t.Error("zero entries accepted")
@@ -27,7 +36,7 @@ func TestNewGeometry(t *testing.T) {
 }
 
 func TestLookupInsert(t *testing.T) {
-	tl := MustNew("t", 32, 4)
+	tl := mustNew("t", 32, 4)
 	if _, ok := tl.Lookup(5); ok {
 		t.Fatal("cold lookup hit")
 	}
@@ -101,7 +110,7 @@ func TestLRUWithinSet(t *testing.T) {
 }
 
 func TestInvalidateAndFlush(t *testing.T) {
-	tl := MustNew("t", 32, 4)
+	tl := mustNew("t", 32, 4)
 	tl.Insert(7, 70)
 	if !tl.Invalidate(7) {
 		t.Fatal("invalidate missed present entry")
@@ -165,7 +174,7 @@ func seqAlloc() pagetable.PageAllocator {
 }
 
 func TestPTWCacheShortensWalks(t *testing.T) {
-	tbl, _ := pagetable.New("pt", seqAlloc())
+	tbl, _ := pagetable.New(nil, "pt", seqAlloc())
 	tbl.Map(0x12345, 7)
 	p := NewPTWCache(32)
 	if lvl := p.BestStartLevel(0x12345); lvl != 0 {
@@ -203,7 +212,7 @@ func TestPTWCacheShortensWalks(t *testing.T) {
 
 func TestPTWCacheCapacityEvicts(t *testing.T) {
 	p := NewPTWCache(2)
-	tbl, _ := pagetable.New("pt", seqAlloc())
+	tbl, _ := pagetable.New(nil, "pt", seqAlloc())
 	// Three distinct PTE-page regions: each fill inserts 3 level entries,
 	// cache holds 2, so older coverage must disappear.
 	keys := []uint64{0, 1 << 27, 2 << 27}
@@ -219,7 +228,7 @@ func TestPTWCacheCapacityEvicts(t *testing.T) {
 
 // Property: TLB Lookup-after-Insert always hits with the inserted value.
 func TestTLBRoundTripQuick(t *testing.T) {
-	tl := MustNew("t", 64, 4)
+	tl := mustNew("t", 64, 4)
 	f := func(k uint32, v uint32) bool {
 		tl.Insert(uint64(k), uint64(v))
 		got, ok := tl.Lookup(uint64(k))

@@ -88,15 +88,11 @@ type Translator struct {
 	stats Stats
 }
 
-// New builds a translator whose cache lines live in dram at cfg.CacheBase.
-func New(cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
-	return NewInArena(nil, cfg, dram, seed)
-}
-
-// NewInArena is New drawing the line array — the second-largest single
-// allocation a DeACT system makes — and the outstanding-list slots from a.
-// A nil arena allocates normally.
-func NewInArena(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
+// New builds a translator whose cache lines live in dram at cfg.CacheBase,
+// drawing the line array — the second-largest single allocation a DeACT
+// system makes — and the outstanding-list slots from a. A nil arena
+// allocates normally.
+func New(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func cfg() Config {
 
 func newTr(t *testing.T) *Translator {
 	t.Helper()
-	tr, err := New(cfg(), dram(), 5)
+	tr, err := New(nil, cfg(), dram(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{CacheBytes: 64, Outstanding: 0}).Validate(); err == nil {
 		t.Fatal("zero outstanding accepted")
 	}
-	if _, err := New(cfg(), nil, 1); err == nil {
+	if _, err := New(nil, cfg(), nil, 1); err == nil {
 		t.Fatal("nil dram accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestCorruptForgesTranslation(t *testing.T) {
 func TestOutstandingSlotsStall(t *testing.T) {
 	c := cfg()
 	c.Outstanding = 2
-	tr, err := New(c, dram(), 1)
+	tr, err := New(nil, c, dram(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
