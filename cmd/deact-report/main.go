@@ -26,6 +26,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +42,24 @@ func main() {
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "deact-report:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError is a command-line mistake. Usage errors exit 2 (before any
+// profile is started or run submitted), runtime failures exit 1 — the
+// convention deact-sweep and cmd/benchgate follow.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// exitCode maps run's error to the process exit status.
+func exitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
 }
 
 // run carries the whole report generation so defers (profile flush, signal
@@ -62,16 +79,18 @@ func run(ctx context.Context, args []string) error {
 	prof := cli.ProfilingFlags(fs, "the full report run")
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
+	opts, err := runner.Options(scale)
+	if errors.Is(err, cli.ErrUnknownBenchmark) {
+		return usageError(err.Error())
+	} else if err != nil {
+		return err
+	}
+
 	stopCPU, err := prof.Start("deact-report")
 	if err != nil {
 		return err
 	}
 	defer stopCPU()
-
-	opts, err := runner.Options(scale)
-	if err != nil {
-		return err
-	}
 	opts.Capacity = *capSec
 	opts.Prefetch = *pfSec
 	opts.MLP = *mlpSec

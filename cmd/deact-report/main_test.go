@@ -50,6 +50,28 @@ func TestGenerateWritesOnSuccess(t *testing.T) {
 	}
 }
 
+// TestBadBenchmarkNamesExitTwo: an empty or unknown -benchmarks name is a
+// usage error (exit 2) caught before any profile is started or run
+// submitted, so no output file and no profile are written.
+func TestBadBenchmarkNamesExitTwo(t *testing.T) {
+	for _, names := range []string{"mcf,,dc", "nosuch"} {
+		dir := t.TempDir()
+		out, cpu := filepath.Join(dir, "EXPERIMENTS.md"), filepath.Join(dir, "cpu.prof")
+		err := run(context.Background(), []string{"-benchmarks", names, "-out", out, "-cpuprofile", cpu})
+		if err == nil || exitCode(err) != 2 {
+			t.Fatalf("-benchmarks %q: err %v, exit %d; want exit 2", names, err, exitCode(err))
+		}
+		for _, f := range []string{out, cpu} {
+			if _, statErr := os.Stat(f); !os.IsNotExist(statErr) {
+				t.Errorf("-benchmarks %q wrote %s (stat err: %v)", names, f, statErr)
+			}
+		}
+	}
+	if got := exitCode(errors.New("simulation failed")); got != 1 {
+		t.Fatalf("runtime error exit %d, want 1", got)
+	}
+}
+
 // goldenScale is the short scale both committed report goldens are
 // generated at (the CI golden-report job uses the same flags).
 var goldenScale = []string{"-warmup", "4000", "-measure", "4000", "-cores", "1",

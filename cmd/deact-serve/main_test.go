@@ -290,6 +290,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"invalid config", `{"Tenants":9999}`},
 		{"zero fabric latency", `{"FabricLatency":0}`},
 		{"zero FAM banks", `{"FAMCfg":{"Banks":0}}`},
+		{"2^40 FAM banks", `{"FAMCfg":{"Banks":1099511627776}}`},
+		{"DRAM banks above the cap", `{"DRAMCfg":{"Banks":4097}}`},
 		{"32-way L3", `{"Hierarchy":{"L3Ways":32}}`},
 		{"zero L1 cache ways", `{"Hierarchy":{"L1Ways":0}}`},
 		{"zero L1 TLB entries", `{"MMU":{"L1Entries":0}}`},

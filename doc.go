@@ -88,14 +88,16 @@
 // Contention is modeled by a batched calendar engine (package sim): each
 // memory-device bank, controller port, fabric link direction and STU port
 // is a sim.Server whose in-order arrivals pay a tail compare and whose
-// out-of-order arrivals book into a small gap calendar. It retires idle
-// windows entirely in the simulated past against the engine clock
-// (sim.Clock, wired by core.NewSystem), pruning before the calendar grows
-// — exact, O(1)-amortized pruning that replaced the old lossy 512-entry
-// calendar cap. Grants are bit-identical to an unpruned sorted-interval
-// calendar kept in the sim tests as the oracle (cross-checked
-// property-style), so reports at a fixed seed are byte-identical across
-// the rewrite. BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
+// out-of-order arrivals book into a small gap calendar, searched by
+// galloping back from its latest-ending gap, so the common shallow case
+// (a few gaps ending after the arrival) pays a few compares. When the gap
+// slice fills, it drops the prefix of windows that closed before the
+// engine clock (sim.Clock, wired by core.NewSystem), growing only while
+// more than half of it is live — exact, O(1)-amortized retirement with no
+// pruning calls from outside. Grants are bit-identical to an unpruned
+// sorted-interval calendar kept in the sim tests as the oracle
+// (cross-checked property-style and by FuzzServerMatchesResource), so
+// reports at a fixed seed are byte-identical across rewrites. BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
 // device-level cost (~tens of ns and 0 allocs per access); the cache
 // hierarchy adds a per-set MRU way cache so repeat hits skip the way scan.
 //

@@ -40,13 +40,15 @@ type Scale struct {
 
 // ScaleFlags registers -warmup/-measure/-cores/-seed on fs with the
 // calling command's defaults. Names, units and help text are shared; only
-// the defaults differ between commands.
+// the defaults differ between commands. The -seed default is every
+// command's: experiments.DefaultOptions().Seed, the seed EXPERIMENTS.md is
+// generated at.
 func ScaleFlags(fs *flag.FlagSet, warmup, measure uint64, cores int) *Scale {
 	s := &Scale{}
 	fs.Uint64Var(&s.Warmup, "warmup", warmup, "warmup instructions per core (instruction count, not cycles)")
 	fs.Uint64Var(&s.Measure, "measure", measure, "measured instructions per core (instruction count, not cycles)")
 	fs.IntVar(&s.Cores, "cores", cores, "cores per node")
-	fs.Int64Var(&s.Seed, "seed", 42, "random seed (drives placement, workloads and replacement; fixed seed = byte-identical output)")
+	fs.Int64Var(&s.Seed, "seed", experiments.DefaultOptions().Seed, "random seed (drives placement, workloads and replacement; fixed seed = byte-identical output)")
 	return s
 }
 

@@ -3,6 +3,7 @@ package cli
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -68,6 +69,23 @@ func TestFlagGroupDefaults(t *testing.T) {
 	}
 	if opts.Benchmarks != nil || opts.Store != nil {
 		t.Fatalf("optional knobs defaulted on: %+v", opts)
+	}
+}
+
+// TestSeedDefaultIsExperimentsDefault: -seed has one source, the seed
+// experiments.DefaultOptions documents for EXPERIMENTS.md.
+func TestSeedDefaultIsExperimentsDefault(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	sc := ScaleFlags(fs, 1, 1, 1)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.DefaultOptions().Seed
+	if sc.Seed != want {
+		t.Fatalf("-seed default %d, experiments.DefaultOptions().Seed %d", sc.Seed, want)
+	}
+	if got := fs.Lookup("seed").DefValue; got != fmt.Sprint(want) {
+		t.Fatalf("-seed help default %q, want %d", got, want)
 	}
 }
 

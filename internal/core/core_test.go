@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deact/internal/memdev"
 	"deact/internal/workload"
 )
 
@@ -59,6 +60,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.FabricLatency = 0 },
 		func(c *Config) { c.FAMCfg.Banks = 0 },
 		func(c *Config) { c.DRAMCfg.Banks = 0 },
+		func(c *Config) { c.FAMCfg.Banks = memdev.MaxBanks + 1 },
+		func(c *Config) { c.DRAMCfg.Banks = memdev.MaxBanks + 1 },
+		func(c *Config) { c.FAMCfg.Banks = 1 << 40 },
+		func(c *Config) { c.DRAMCfg.Banks = 1 << 40 },
 		func(c *Config) { c.Hierarchy.L1Ways = 0 },
 		func(c *Config) { c.Hierarchy.L3Ways = 32 },
 		func(c *Config) { c.MMU.L1Entries = 0 },
@@ -75,6 +80,16 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestValidateAcceptsMaxBanks: the bank ceiling is inclusive for both
+// devices (the configs are only validated, never built).
+func TestValidateAcceptsMaxBanks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DRAMCfg.Banks, cfg.FAMCfg.Banks = memdev.MaxBanks, memdev.MaxBanks
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d banks rejected: %v", memdev.MaxBanks, err)
 	}
 }
 

@@ -13,7 +13,8 @@
 //
 // Each direction is a batched sim.Server: in-order packets pay a tail
 // compare, out-of-order ones consult the link's gap calendar, and binding
-// the engine clock retires past idle windows exactly.
+// the engine clock lets each link retire past idle windows when its
+// calendar fills.
 package fabric
 
 import (

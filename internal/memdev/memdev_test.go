@@ -23,6 +23,7 @@ func TestValidate(t *testing.T) {
 	}
 	for i, c := range []Config{
 		{Name: "x", Banks: 0, ReadLatency: 1, WriteLatency: 1},
+		{Name: "x", Banks: MaxBanks + 1, ReadLatency: 1, WriteLatency: 1},
 		{Name: "x", Banks: 1, ReadLatency: 0, WriteLatency: 1},
 		{Name: "x", Banks: 1, ReadLatency: 1, WriteLatency: 0},
 	} {

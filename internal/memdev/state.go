@@ -3,14 +3,10 @@ package memdev
 import "deact/internal/sim"
 
 // State is a Device's mutable state for core.System.Snapshot: the port and
-// per-bank reservation calendars, the rotating prune position (it influences
-// which calendars are pruned when, so restoring it keeps a forked run's
-// calendar evolution identical to a cold run's), and the access counters.
+// per-bank reservation calendars and the access counters.
 type State struct {
 	port  sim.ServerState
 	banks []sim.ServerState
-	scan  int
-	tick  uint64
 
 	reads  uint64
 	writes uint64
@@ -26,7 +22,6 @@ func (d *Device) CaptureState(st *State) {
 	for i := range d.banks {
 		d.banks[i].CaptureState(&st.banks[i])
 	}
-	st.scan, st.tick = d.scan, d.tick
 	st.reads, st.writes = d.reads, d.writes
 }
 
@@ -41,6 +36,5 @@ func (d *Device) RestoreState(st *State) {
 	for i := range d.banks {
 		d.banks[i].RestoreState(&st.banks[i])
 	}
-	d.scan, d.tick = st.scan, st.tick
 	d.reads, d.writes = st.reads, st.writes
 }

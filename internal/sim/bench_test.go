@@ -46,3 +46,33 @@ func BenchmarkEngine(b *testing.B) {
 		e.Run(0)
 	})
 }
+
+// BenchmarkServerAcquire measures the out-of-order path of Server.Acquire
+// in steady state. One op is two calls: an in-order arrival 100ps after the
+// previous one (a 10ps booking that leaves a 90ps gap behind the tail) and
+// an out-of-order 1ps arrival that splits the gap `back` arrivals earlier,
+// with the clock trailing a further five arrivals behind. Each split leaves
+// two gaps, so the arrival finds 2·back−2 gaps ending after it: 4 for
+// "shallow" (back 3), the shape of the translation-heavy mix, and 40 for
+// "deep" (back 21), the shape of the OoO stencil streams. allocs/op must be zero: the
+// gap slice stops growing once retirement keeps up with the clock.
+func BenchmarkServerAcquire(b *testing.B) {
+	run := func(b *testing.B, back Time) {
+		clk := &fakeClock{}
+		var s Server
+		s.Bind(clk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := Time(1); i <= Time(b.N); i++ {
+			if i > back+5 {
+				clk.now = (i - back - 5) * 100
+			}
+			s.Acquire(i*100, 10)
+			if i > back {
+				s.Acquire((i-back)*100+50, 1)
+			}
+		}
+	}
+	b.Run("shallow", func(b *testing.B) { run(b, 3) })
+	b.Run("deep", func(b *testing.B) { run(b, 21) })
+}

@@ -1,11 +1,10 @@
 package sim
 
 // Clock supplies the current simulated time. *Engine implements it; a
-// Server bound to a clock uses it as a pruning watermark: no future request
+// Server bound to a clock uses it to retire idle windows: no future request
 // can arrive before the engine's current time (access chains are computed
-// forward from the dispatching event), so idle windows entirely in the past
-// can be retired exactly, without the over-serialization a lossy size cap
-// causes.
+// forward from the dispatching event), so windows that closed at or before
+// it can be dropped without changing any grant.
 type Clock interface {
 	Now() Time
 }
@@ -24,75 +23,44 @@ type Clock interface {
 // than another chain's bookings) consult a calendar of idle gaps before
 // the tail. Out-of-order arrivals are common, not rare: on the
 // translation-heavy mix (sssp/canl/mcf under I-FAM and DeACT-N, 4
-// in-order cores) 55–58% of Acquire calls take that path. At such a call
-// the calendar typically holds ~31 gaps that already closed before the
-// engine's current time (retirable, not yet pruned) ahead of ~7–10 open
-// ones, of which ~4 end after the arrival; the binary search below skips
-// the closed prefix. (The test-only Resource stores the busy intervals
+// in-order cores, 10k+10k instructions, seeds 1–4) 53% of 8.3M Acquire
+// calls take that path. Such a call sees a calendar of ~44 gaps, ~35 of
+// which closed before the engine's current time and wait to be retired;
+// only ~4 end after the arrival (the shallow shape). On the OoO stencil
+// streams (sp/mg/lu, E-FAM and DeACT-N) a search sees ~290 gaps and ~40
+// end after the arrival (the deep shape). The search therefore gallops
+// back from the latest-ending gap: it costs O(log d) for d gaps ending
+// after the arrival, so the shallow shape pays a few compares and the deep
+// one no more than a binary search. (The test-only Resource stores the busy intervals
 // instead and serves as this type's oracle.)
 //
-// A Server bound to a Clock retires gaps that closed at or before the
-// engine's current time — exact pruning, since no future arrival can
-// precede it. Pruning is kept off the tail fast path: it runs when the
-// calendar needs room, before anything grows, O(1) amortized (each gap is
-// appended, skipped and compacted away once). The backing array therefore
-// stays proportional to the reachable calendar.
+// Grants always equal the exact interval calendar's. A Server bound to a
+// Clock retires, whenever an append finds the gap slice full, the prefix of
+// gaps that closed at or before the clock's Now(); it grows the slice
+// instead when more than half of it is still live, so each gap is appended,
+// skipped and compacted away once, O(1) amortized. A server without a clock
+// keeps every gap.
 type Server struct {
-	clock     Clock
-	tail      Time  // end of the last booking; everything at/after is free
-	gaps      []gap // gaps[head:] is live: sorted, disjoint, before tail
-	head      int   // retired prefix length, compacted away periodically
-	watermark Time
-	busy      Time
-	uses      uint64
+	clock Clock
+	tail  Time  // end of the last booking; everything at/after is free
+	gaps  []gap // idle windows before tail: sorted, disjoint
+	busy  Time
 }
 
 type gap struct{ start, end Time }
 
-// maxLiveGaps bounds the live gap calendar of a server without a bound
-// clock: when exceeded, the oldest gap is forgotten (no longer bookable),
-// which only over-serializes the distant past. A clock-bound server never
-// forgets a gap — it prunes exactly, so its calendar holds only windows a
-// future arrival can still book, and its grants equal the exact interval
-// calendar's.
-const maxLiveGaps = 512
+// minGapCap is the gap slice's first capacity.
+const minGapCap = 16
 
-// Bind attaches the pruning clock. The caller guarantees that no subsequent
-// Acquire arrives earlier than the clock's Now() at call time.
+// Bind attaches the retirement clock. The caller guarantees that no
+// subsequent Acquire arrives earlier than the clock's Now() at call time.
 func (s *Server) Bind(c Clock) { s.clock = c }
-
-// Prune retires gaps that closed at or before w; the watermark is monotone.
-// A gap straddling w stays bookable.
-func (s *Server) Prune(w Time) {
-	if w <= s.watermark {
-		return
-	}
-	s.watermark = w
-	for s.head < len(s.gaps) && s.gaps[s.head].end <= w {
-		s.head++
-	}
-	// Compact once the retired prefix dominates the slice, so the backing
-	// array stays proportional to the live calendar.
-	if s.head >= 32 && s.head*2 >= len(s.gaps) {
-		n := copy(s.gaps, s.gaps[s.head:])
-		s.gaps = s.gaps[:n]
-		s.head = 0
-	}
-}
-
-// prune runs Prune against the bound clock, if any.
-func (s *Server) prune() {
-	if s.clock != nil {
-		s.Prune(s.clock.Now())
-	}
-}
 
 // Acquire reserves the server for service picoseconds starting no earlier
 // than now, in the earliest idle window that fits. It returns the service
 // start and completion times. When a clock is bound, now must not precede
 // the clock's current time.
 func (s *Server) Acquire(now, service Time) (start, done Time) {
-	s.uses++
 	s.busy += service
 	if service == 0 {
 		return now, now
@@ -101,28 +69,37 @@ func (s *Server) Acquire(now, service Time) (start, done Time) {
 		// Tail fast path: the arrival is past every booking. The idle
 		// stretch it skips over becomes a bookable gap.
 		if now > s.tail {
-			s.pushGap(s.tail, now)
+			if len(s.gaps) == cap(s.gaps) {
+				s.retire()
+			}
+			s.gaps = append(s.gaps, gap{start: s.tail, end: now})
 		}
 		s.tail = now + service
 		return now, s.tail
 	}
 	// Out-of-order arrival. Gap ends are ascending (gaps are created in
 	// tail order and splits keep both halves in place), so if the request
-	// cannot finish inside the latest-ending live gap it fits no gap at
-	// all: queue straight behind the tail without touching the calendar.
-	// This keeps the common "barely out of order" arrival — behind the
-	// tail but past every idle window — at two compares.
-	if n := len(s.gaps); n == s.head || now+service > s.gaps[n-1].end {
+	// cannot finish inside the latest-ending gap it fits no gap at all:
+	// queue straight behind the tail without touching the calendar. This
+	// keeps the common "barely out of order" arrival — behind the tail but
+	// past every idle window — at two compares.
+	n := len(s.gaps)
+	if n == 0 || now+service > s.gaps[n-1].end {
 		start = s.tail
 		s.tail += service
 		return start, s.tail
 	}
-	// Take the earliest gap that fits, else queue behind the tail. Gaps
-	// closing at or before the arrival cannot host it (their remaining
-	// room ends before now+service); gap ends are sorted, so
-	// binary-search past them instead of scanning — which also skips any
-	// retired-but-uncompacted prefix, so no pruning is needed here.
-	lo, hi := s.head, len(s.gaps)
+	// Find the first gap ending after the arrival; gaps closing at or
+	// before it cannot host the request. gaps[n-1] ends after it, so gallop
+	// back from there to bracket the answer in (lo, hi], then bisect.
+	hi, step := n-1, 1
+	lo := hi - step
+	for lo >= 0 && s.gaps[lo].end > now {
+		hi = lo
+		step <<= 1
+		lo = hi - step
+	}
+	lo = max(lo+1, 0) // gaps[lo], if it exists, ends at or before now
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if s.gaps[mid].end <= now {
@@ -131,7 +108,8 @@ func (s *Server) Acquire(now, service Time) (start, done Time) {
 			hi = mid
 		}
 	}
-	for i := lo; i < len(s.gaps); i++ {
+	// Take the earliest gap that fits, else queue behind the tail.
+	for i := lo; i < n; i++ {
 		g := s.gaps[i]
 		start = now
 		if g.start > start {
@@ -149,41 +127,33 @@ func (s *Server) Acquire(now, service Time) (start, done Time) {
 	return start, s.tail
 }
 
-// pushGap records [from, to) as idle. Gaps are created in tail order, so
-// appending keeps the calendar sorted.
-func (s *Server) pushGap(from, to Time) {
-	if to <= s.watermark {
-		return // already unreachable
+// retire makes room in a full gap slice for one more append and returns
+// how many leading gaps it dropped: the prefix that closed at or before the
+// clock's Now(). It moves the live rest to the front, or into a slice twice
+// as large when more than half of it is live.
+func (s *Server) retire() int {
+	n := len(s.gaps)
+	dead := 0
+	if s.clock != nil {
+		w := s.clock.Now()
+		for hi := n; dead < hi; {
+			mid := int(uint(dead+hi) >> 1)
+			if s.gaps[mid].end <= w {
+				dead = mid + 1
+			} else {
+				hi = mid
+			}
+		}
 	}
-	s.makeRoom(len(s.gaps))
-	s.gaps = append(s.gaps, gap{start: from, end: to})
-}
-
-// makeRoom readies the calendar for one more gap and returns the new index
-// of gaps[pin], the gap a caller is about to split (len(gaps) pins
-// nothing). It works only when the backing array is full or an unbound
-// server's live calendar is at its bound: it retires what the clock
-// allows, applies the unbound live bound by forgetting the oldest window
-// (never the pinned one), then compacts the retired prefix away once it is
-// half the slice. Append therefore grows the array only when live gaps
-// fill it. Compaction (here or inside Prune) moves gaps down but keeps
-// their distance from the end, which is how pin is carried across it.
-func (s *Server) makeRoom(pin int) int {
-	lossy := s.clock == nil && len(s.gaps)-s.head >= maxLiveGaps
-	if len(s.gaps) < cap(s.gaps) && !lossy {
-		return pin
+	live := s.gaps[dead:]
+	if 2*len(live) > n || n == 0 {
+		grown := make([]gap, len(live), max(2*n, minGapCap))
+		copy(grown, live)
+		s.gaps = grown
+	} else {
+		s.gaps = s.gaps[:copy(s.gaps, live)]
 	}
-	fromEnd := len(s.gaps) - pin
-	s.prune()
-	if lossy && s.head < len(s.gaps)-fromEnd {
-		s.head++
-	}
-	if len(s.gaps) == cap(s.gaps) && s.head*2 >= len(s.gaps) {
-		n := copy(s.gaps, s.gaps[s.head:])
-		s.gaps = s.gaps[:n]
-		s.head = 0
-	}
-	return len(s.gaps) - fromEnd
+	return dead
 }
 
 // bookInGap splits gaps[i] around the booking [start, done).
@@ -194,11 +164,22 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 	hasR := right.end > right.start
 	switch {
 	case hasL && hasR:
-		// An interior booking nets one extra live gap. Gap i ends after
-		// this booking, so pruning cannot retire it.
-		i = s.makeRoom(i)
+		// An interior booking nets one extra gap. Gap i ends after the
+		// arrival, which is at or after the clock, so retire cannot drop
+		// it; it only shifts it down with the dropped prefix.
+		if len(s.gaps) == cap(s.gaps) {
+			i -= s.retire()
+		}
 		s.gaps = append(s.gaps, gap{})
-		copy(s.gaps[i+2:], s.gaps[i+1:])
+		if n := len(s.gaps); n-i <= 8 {
+			// A few trailing gaps, the usual case: shifting them by
+			// hand beats a memmove call.
+			for j := n - 1; j > i+1; j-- {
+				s.gaps[j] = s.gaps[j-1]
+			}
+		} else {
+			copy(s.gaps[i+2:], s.gaps[i+1:])
+		}
 		s.gaps[i] = left
 		s.gaps[i+1] = right
 	case hasL:
@@ -210,19 +191,6 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 	}
 }
 
-// NextFree returns the end of the last booking — the earliest time a
-// request arriving after all current bookings could begin service.
-func (s *Server) NextFree() Time { return s.tail }
-
-// BusyTime returns the total time the server has been reserved. Pruning
-// does not affect it.
+// BusyTime returns the total time the server has been reserved.
+// Retirement does not affect it.
 func (s *Server) BusyTime() Time { return s.busy }
-
-// Uses returns the number of Acquire calls. Pruning does not affect it.
-func (s *Server) Uses() uint64 { return s.uses }
-
-// liveGaps returns the number of unretired idle windows (tests).
-func (s *Server) liveGaps() int { return len(s.gaps) - s.head }
-
-// Reset clears all reservation state, keeping the bound clock.
-func (s *Server) Reset() { *s = Server{clock: s.clock} }

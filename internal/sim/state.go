@@ -37,27 +37,22 @@ func (e *Engine) RestoreState(st *EngineState) {
 	e.queue = e.queue[:0]
 }
 
-// ServerState captures a Server's reservation calendar. The retired prefix
-// is dropped (restore normalizes head to 0), which is behavior-identical:
-// retired gaps are unreachable by construction.
+// ServerState captures a Server's reservation calendar.
 type ServerState struct {
-	tail      Time
-	watermark Time
-	busy      Time
-	uses      uint64
-	gaps      []gap
+	tail Time
+	busy Time
+	gaps []gap
 }
 
 // CaptureState captures the server into st, reusing st's gap storage.
 func (s *Server) CaptureState(st *ServerState) {
-	st.tail, st.watermark, st.busy, st.uses = s.tail, s.watermark, s.busy, s.uses
-	st.gaps = append(st.gaps[:0], s.gaps[s.head:]...)
+	st.tail, st.busy = s.tail, s.busy
+	st.gaps = append(st.gaps[:0], s.gaps...)
 }
 
 // RestoreState rewinds the server to st, keeping the bound clock. The gaps
 // are copied into the server's own storage.
 func (s *Server) RestoreState(st *ServerState) {
-	s.tail, s.watermark, s.busy, s.uses = st.tail, st.watermark, st.busy, st.uses
+	s.tail, s.busy = st.tail, st.busy
 	s.gaps = append(s.gaps[:0], st.gaps...)
-	s.head = 0
 }

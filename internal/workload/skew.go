@@ -5,7 +5,7 @@
 // map is a step function with at most `footprint` steps, so instead of
 // evaluating math.Pow per reference we precompute, once per (footprint,
 // SkewExp) pair, the exact float64 boundary at which each step begins, and
-// answer queries with a binary search over the boundary array.
+// answer queries by counting the boundaries at or below the draw.
 //
 // The boundaries are found by bisection over the *bit patterns* of the
 // candidate floats: non-negative float64s are ordered identically to their
@@ -13,13 +13,16 @@
 // [0,1] and converges to the exact smallest u with page(u) ≥ p — there is no
 // epsilon, and the tabled path reproduces the pow path bit-for-bit (the
 // equivalence is enforced by tests and by the byte-diffed golden report).
-// Construction costs ~64 pow evaluations per boundary and the tables are
-// shared globally, so a profile's table is built once per process.
+// A guide index over 2^g equal buckets of [0,1) narrows each query to the
+// few boundaries inside the draw's bucket, so a query costs a multiply and
+// a short scan. Construction costs ~64 pow
+// evaluations per boundary and the tables are shared globally, so a
+// profile's table is built once per process.
 package workload
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 )
 
@@ -47,19 +50,28 @@ type skewTable struct {
 	// uint64(footprint·u^k) ≥ i+1. Pages unreachable by any u < 1 have no
 	// entry (the array simply ends early).
 	bounds []float64
+	// guide[b] is the number of bounds ≤ b/scale, for b in [0, scale];
+	// scale is a power of two no smaller than len(bounds).
+	guide []uint32
+	scale float64
 }
 
 // page returns the page for draw u, bit-identical to
 // skewedPagePow(t.footprint, k, u).
 func (t *skewTable) page(u float64) uint64 {
 	// The number of boundaries ≤ u is exactly uint64(footprint·u^k): the
-	// same value the direct formula computes, found by binary search
-	// instead of pow.
-	p := uint64(sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i] > u }))
-	if p >= t.footprint {
-		p = t.footprint - 1
+	// same value the direct formula computes. Scaling by a power of two is
+	// exact, so b/scale ≤ u < (b+1)/scale and that count lies between
+	// guide[b] and guide[b+1]: only the bounds in between need a compare.
+	b := int(u * t.scale)
+	p, end := t.guide[b], t.guide[b+1]
+	for p < end && t.bounds[p] <= u {
+		p++
 	}
-	return p
+	if uint64(p) >= t.footprint {
+		return t.footprint - 1
+	}
+	return uint64(p)
 }
 
 type skewKey struct {
@@ -121,6 +133,17 @@ func buildSkewTable(footprint uint64, k float64) *skewTable {
 		}
 		t.bounds = append(t.bounds, math.Float64frombits(hi))
 		lo = hi - 1 // stepAt(hi-1) < p ≤ stepAt(next boundary)
+	}
+	g := bits.Len(uint(len(t.bounds)))
+	t.scale = math.Ldexp(1, g)
+	t.guide = make([]uint32, 1<<g+1)
+	n := 0
+	for b := range t.guide {
+		edge := math.Ldexp(float64(b), -g)
+		for n < len(t.bounds) && t.bounds[n] <= edge {
+			n++
+		}
+		t.guide[b] = uint32(n)
 	}
 	return t
 }

@@ -8,8 +8,10 @@ import (
 
 // TestSkewTableMatchesPow checks the tabled inversion against the direct pow
 // formula: exhaustively at every step boundary and its representable
-// neighbors (where the two could first disagree), and on a large randomized
-// sample, for every skewed catalog profile.
+// neighbors (where the two could first disagree), at every guide-bucket
+// edge b/scale and its predecessor (where a query switches to another
+// bucket's scan range), and on a large randomized sample, for every skewed
+// catalog profile.
 func TestSkewTableMatchesPow(t *testing.T) {
 	for _, name := range Names() {
 		p, err := Get(name)
@@ -43,6 +45,14 @@ func TestSkewTableMatchesPow(t *testing.T) {
 			}
 			check(b)
 			check(prev)
+		}
+		if want := len(tab.guide) - 1; tab.scale != float64(want) || want < len(tab.bounds) {
+			t.Fatalf("%s: guide of %d buckets at scale %v for %d bounds", name, want, tab.scale, len(tab.bounds))
+		}
+		for b := 1; b < len(tab.guide)-1; b++ {
+			edge := float64(b) / tab.scale
+			check(edge)
+			check(math.Float64frombits(math.Float64bits(edge) - 1))
 		}
 		r := rand.New(rand.NewSource(int64(len(name))))
 		for i := 0; i < 200_000; i++ {

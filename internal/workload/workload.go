@@ -208,11 +208,11 @@ type Generator struct {
 	hotBlocks uint64
 	meanGap   int
 
-	// skew inverts the popularity map u ↦ ⌊footprint·u^SkewExp⌋ by binary
-	// search over precomputed boundaries, replacing the per-reference
-	// math.Pow call. nil when the profile is uniform (or the footprint is
-	// too large to table); skewedBlock then falls back to the direct
-	// formula. Both paths produce bit-identical pages for the same draw.
+	// skew inverts the popularity map u ↦ ⌊footprint·u^SkewExp⌋ with a
+	// guide-indexed scan of precomputed boundaries, replacing the
+	// per-reference math.Pow call. nil when the profile is uniform (or the
+	// footprint is too large to table); skewedBlock then falls back to the
+	// direct formula. Both paths produce bit-identical pages for the same draw.
 	skew *skewTable
 }
 
