@@ -42,24 +42,8 @@ func main() {
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "deact-report:", err)
-		os.Exit(exitCode(err))
+		os.Exit(cli.ExitCode(err))
 	}
-}
-
-// usageError is a command-line mistake. Usage errors exit 2 (before any
-// profile is started or run submitted), runtime failures exit 1 — the
-// convention deact-sweep and cmd/benchgate follow.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-// exitCode maps run's error to the process exit status.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
 }
 
 // run carries the whole report generation so defers (profile flush, signal
@@ -81,7 +65,7 @@ func run(ctx context.Context, args []string) error {
 
 	opts, err := runner.Options(scale)
 	if errors.Is(err, cli.ErrUnknownBenchmark) {
-		return usageError(err.Error())
+		return cli.Usage(err)
 	} else if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"deact/internal/cli"
 	"deact/internal/experiments"
 )
 
@@ -58,17 +59,14 @@ func TestBadBenchmarkNamesExitTwo(t *testing.T) {
 		dir := t.TempDir()
 		out, cpu := filepath.Join(dir, "EXPERIMENTS.md"), filepath.Join(dir, "cpu.prof")
 		err := run(context.Background(), []string{"-benchmarks", names, "-out", out, "-cpuprofile", cpu})
-		if err == nil || exitCode(err) != 2 {
-			t.Fatalf("-benchmarks %q: err %v, exit %d; want exit 2", names, err, exitCode(err))
+		if err == nil || cli.ExitCode(err) != 2 {
+			t.Fatalf("-benchmarks %q: err %v, exit %d; want exit 2", names, err, cli.ExitCode(err))
 		}
 		for _, f := range []string{out, cpu} {
 			if _, statErr := os.Stat(f); !os.IsNotExist(statErr) {
 				t.Errorf("-benchmarks %q wrote %s (stat err: %v)", names, f, statErr)
 			}
 		}
-	}
-	if got := exitCode(errors.New("simulation failed")); got != 1 {
-		t.Fatalf("runtime error exit %d, want 1", got)
 	}
 }
 

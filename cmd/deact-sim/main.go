@@ -45,20 +45,8 @@ func main() {
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deact-sim:", err)
-		os.Exit(exitCode(err))
+		os.Exit(cli.ExitCode(err))
 	}
-}
-
-// usageError is a command-line mistake: it exits 2, a failed run exits 1.
-type usageError struct{ error }
-
-// exitCode maps run's error to the process exit status.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
 }
 
 // run simulates the configured run and prints its metrics to stdout; the
@@ -80,7 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	scheme, err := core.ParseScheme(*schemeFlag)
 	if err != nil {
-		return usageError{err}
+		return cli.Usage(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Scheme = scheme
@@ -97,7 +85,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var rec *trace.Recorder
 	switch {
 	case *traceIn != "" && *traceOut != "":
-		return usageError{errors.New("-trace-in and -trace-out are mutually exclusive")}
+		return cli.Usage(errors.New("-trace-in and -trace-out are mutually exclusive"))
 	case *traceIn != "":
 		t, err := trace.Load(*traceIn)
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"path/filepath"
 	"testing"
+
+	"deact/internal/cli"
 )
 
 // tiny is a one-core run small enough for the -short tier.
@@ -49,8 +51,8 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		err := run(context.Background(), args, &out, io.Discard)
-		if err == nil || exitCode(err) != 2 || out.Len() != 0 {
-			t.Errorf("%v: err %v, exit %d, stdout %q; want a usage error", args, err, exitCode(err), out.String())
+		if err == nil || cli.ExitCode(err) != 2 || out.Len() != 0 {
+			t.Errorf("%v: err %v, exit %d, stdout %q; want a usage error", args, err, cli.ExitCode(err), out.String())
 		}
 	}
 }

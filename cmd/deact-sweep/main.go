@@ -63,24 +63,8 @@ func main() {
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deact-sweep:", err)
-		os.Exit(exitCode(err))
+		os.Exit(cli.ExitCode(err))
 	}
-}
-
-// usageError is a command-line mistake. Usage errors exit 2 (before any
-// profile is started), runtime failures exit 1 — the same convention
-// cmd/benchgate follows.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-// exitCode maps run's error to the process exit status.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
 }
 
 // run carries the whole sweep so defers (profile flush) execute on error
@@ -102,16 +86,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	if !slices.Contains(experiments.SweepNames(), *sweep) {
-		return usageError(fmt.Sprintf("unknown sweep %q", *sweep))
+		return cli.Usage(fmt.Errorf("unknown sweep %q", *sweep))
 	}
 	for _, f := range []struct{ flag, name string }{{"-steady", *steady}, {"-noisy", *noisy}} {
 		if _, err := workload.Get(f.name); err != nil {
-			return usageError(fmt.Sprintf("%s: %v", f.flag, err))
+			return cli.Usage(fmt.Errorf("%s: %w", f.flag, err))
 		}
 	}
 	opts, err := runnerFlags.Options(scale)
 	if errors.Is(err, cli.ErrUnknownBenchmark) {
-		return usageError(err.Error())
+		return cli.Usage(err)
 	} else if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"deact/internal/cli"
 	"deact/internal/experiments"
 )
 
@@ -49,8 +50,8 @@ func TestSweepGoldens(t *testing.T) {
 func TestUnknownSweepExitsTwo(t *testing.T) {
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-sweep", "nope"}, &out, io.Discard)
-	if err == nil || exitCode(err) != 2 {
-		t.Fatalf("unknown sweep: err %v, exit %d; want exit 2", err, exitCode(err))
+	if err == nil || cli.ExitCode(err) != 2 {
+		t.Fatalf("unknown sweep: err %v, exit %d; want exit 2", err, cli.ExitCode(err))
 	}
 	if out.Len() != 0 {
 		t.Errorf("unknown sweep printed %q", out.String())
@@ -69,8 +70,8 @@ func TestBadBenchmarkNamesExitTwo(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		err := run(context.Background(), append([]string{"-sweep", "stu"}, args...), &out, io.Discard)
-		if err == nil || exitCode(err) != 2 {
-			t.Fatalf("%v: err %v, exit %d; want exit 2", args, err, exitCode(err))
+		if err == nil || cli.ExitCode(err) != 2 {
+			t.Fatalf("%v: err %v, exit %d; want exit 2", args, err, cli.ExitCode(err))
 		}
 		if !strings.Contains(err.Error(), "nosuch") && !strings.Contains(err.Error(), `""`) {
 			t.Errorf("%v: error %q does not name the bad benchmark", args, err)

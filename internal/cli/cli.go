@@ -14,6 +14,10 @@
 //     store when -store names a directory.
 //   - Profiling: -cpuprofile/-memprofile — pprof output, wrapping
 //     internal/profiling so commands keep the start/flush discipline.
+//
+// Usage and ExitCode carry the commands' exit-status convention: a
+// command-line mistake exits 2, before any profile is started or run
+// submitted, and a runtime failure exits 1.
 package cli
 
 import (
@@ -28,6 +32,25 @@ import (
 	"deact/internal/resultstore"
 	"deact/internal/workload"
 )
+
+// usageError marks a command-line mistake.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// Usage marks err as a command-line mistake, so ExitCode maps it to 2. The
+// message is err's.
+func Usage(err error) error { return usageError{err} }
+
+// ExitCode maps a command's error to its process exit status: 2 for a
+// usage error, 1 for any other.
+func ExitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
+}
 
 // Scale holds the simulation-scale flags. Warmup and Measure are
 // instruction counts per core — not cycles.

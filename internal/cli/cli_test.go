@@ -92,6 +92,24 @@ func TestSeedDefaultIsExperimentsDefault(t *testing.T) {
 // TestBenchmarksTrimmedAndChecked: -benchmarks names are trimmed, and an
 // empty or unknown name fails Options with ErrUnknownBenchmark and the
 // catalog's names, before any store is opened or run submitted.
+// TestExitCode: a usage error exits 2 with its message intact and stays
+// matchable by errors.Is; any other error exits 1.
+func TestExitCode(t *testing.T) {
+	err := Usage(fmt.Errorf("-benchmarks: %w", ErrUnknownBenchmark))
+	if got := ExitCode(err); got != 2 {
+		t.Errorf("usage error exit %d, want 2", got)
+	}
+	if err.Error() != "-benchmarks: unknown benchmark" || !errors.Is(err, ErrUnknownBenchmark) {
+		t.Errorf("usage error %q lost its wrapped error", err)
+	}
+	if got := ExitCode(fmt.Errorf("run: %w", err)); got != 2 {
+		t.Errorf("wrapped usage error exit %d, want 2", got)
+	}
+	if got := ExitCode(errors.New("simulation failed")); got != 1 {
+		t.Errorf("runtime error exit %d, want 1", got)
+	}
+}
+
 func TestBenchmarksTrimmedAndChecked(t *testing.T) {
 	parse := func(list string) (experiments.Options, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -171,15 +171,7 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 			i -= s.retire()
 		}
 		s.gaps = append(s.gaps, gap{})
-		if n := len(s.gaps); n-i <= 8 {
-			// A few trailing gaps, the usual case: shifting them by
-			// hand beats a memmove call.
-			for j := n - 1; j > i+1; j-- {
-				s.gaps[j] = s.gaps[j-1]
-			}
-		} else {
-			copy(s.gaps[i+2:], s.gaps[i+1:])
-		}
+		copy(s.gaps[i+2:], s.gaps[i+1:])
 		s.gaps[i] = left
 		s.gaps[i+1] = right
 	case hasL:
